@@ -6,18 +6,12 @@ usable signal relative to sensor noise, and attenuates ICP updates there.
 
 from .degeneracy import (
     DirectionReport,
-    FeatureNoise,
     HessianBundle,
-    PlaneFeature,
-    accumulate,
     accumulate_arrays,
     analyze,
     degeneracy_probability,
     direction_stats,
-    feature_covariance,
-    feature_vector,
     gaussian_cdf,
-    noise_jacobian,
 )
 from .errors import (
     ConfigError,
@@ -49,6 +43,7 @@ from .normals import (
     fit_planes,
     is_outlier,
     normal_covariance,
+    normal_covariances,
     normal_vector_cov,
 )
 from .registration import (
@@ -66,8 +61,6 @@ from .registration import (
     attenuated_update,
     extract_features,
     icp,
-    information_matrix,
-    linearize,
     robust_weight,
     solve_update,
 )
@@ -77,10 +70,8 @@ from .simulation import (
     SceneSample,
     SceneSpec,
     SpuriousInfoReport,
-    apply_noise,
     generate_scene,
     mc_direction_stats,
-    mc_hessian_stats,
     noisy_feature_arrays,
     spurious_info_demo,
 )

@@ -5,17 +5,12 @@ All commands are deterministic given (config, seed). Derived streams: the
 scene generator uses the seed itself, noise injection uses seed + 1, random
 test directions use seed + 2. Machine outputs are JSON lines or CSV with '.'
 decimals; clouds are ASCII PLY or CSV.
-
-The environment variable DEGEN_ICP_THREADS caps the worker count. The
-current implementation computes sequentially (one worker), which satisfies
-any cap of at least one; the value is validated and recorded in reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -41,7 +36,6 @@ from .simulation import (
     NoiseSpec,
     SceneKind,
     SceneSpec,
-    apply_noise,
     generate_scene,
     mc_direction_stats,
     noisy_feature_arrays,
@@ -50,7 +44,6 @@ from .simulation import (
 _SCHEMA_VERSION = 1
 _METHOD_NAMES = ("standard", "probabilistic", "eigen-truncate", "solution-remap", "cond-number")
 _SCENE_KINDS = tuple(k.value for k in SceneKind)
-_THREADS_ENV = "DEGEN_ICP_THREADS"
 
 
 @dataclass
@@ -75,7 +68,6 @@ class RunConfig:
     scene_kind: str = "room"
     scene_dimensions: dict[str, float] = field(default_factory=dict)
     point_count: int = 2000
-    threads: int = 1
 
     def validate(self) -> None:
         if self.method not in _METHOD_NAMES:
@@ -97,8 +89,6 @@ class RunConfig:
             raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
         if self.point_count < 6:
             raise ConfigError(f"point_count must be >= 6, got {self.point_count}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
     def solver_method(self) -> SolverMethod:
         if self.method == "standard":
@@ -218,12 +208,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             except ValueError:
                 raise ConfigError(f"--dim {item!r}: value is not a number") from None
         overrides["scene_dimensions"] = parsed
-    env_threads = os.environ.get(_THREADS_ENV)
-    if env_threads is not None:
-        try:
-            overrides["threads"] = int(env_threads)
-        except ValueError:
-            raise ConfigError(f"{_THREADS_ENV} must be an integer, got {env_threads!r}") from None
 
     valid = {f.name for f in fields(RunConfig)}
     for key, value in overrides.items():
@@ -365,7 +349,6 @@ def cmd_register(args: argparse.Namespace, cfg: RunConfig) -> int:
             "termination": result.termination,
             "iterations": len(result.iterations),
             "method": cfg.method,
-            "threads": cfg.threads,
         },
     )
     print(
@@ -378,12 +361,12 @@ def cmd_register(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
     sample = generate_scene(cfg.scene_spec())
     noise = NoiseSpec(cfg.sigma_p, cfg.sigma_n, cfg.seed + 1)
-    features = apply_noise(sample, NoiseSpec(0.0, 0.0, 0))  # noise-free features
+    weights = np.ones(sample.points.shape[0])
     bundle = accumulate_arrays(
         sample.points,
         sample.normals,
         sample.offsets,
-        np.ones(sample.points.shape[0]),
+        weights,
         cfg.sigma_p**2 * np.eye(3),
         cfg.sigma_n**2
         * (np.eye(3) - np.einsum("ni,nj->nij", sample.normals, sample.normals)),
@@ -392,7 +375,9 @@ def cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed + 2)
     directions = rng.standard_normal((6, args.directions))
     directions /= np.linalg.norm(directions, axis=0, keepdims=True)
-    mc_means, mc_vars = mc_direction_stats(features, noise, directions, args.trials)
+    mc_means, mc_vars = mc_direction_stats(
+        sample.points, sample.normals, weights, noise=noise, directions=directions, trials=args.trials
+    )
 
     all_ok = True
     records = []

@@ -36,6 +36,21 @@ def _fmt_row(row) -> str:
     return " ".join(_FLOAT_FMT.format(float(v)) for v in row)
 
 
+def _parse_rows(path, lines, sep, width: int) -> Array:
+    try:
+        rows = [list(map(float, line.split(sep))) for line in lines]
+        return np.asarray(rows, dtype=np.float64).reshape(len(rows), width)
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed data rows ({exc})") from None
+
+
+def _finite_points(path, data: Array) -> Array:
+    points = data[:, :3]
+    if not np.isfinite(points).all():
+        raise ValueError(f"{path}: non-finite (NaN or inf) coordinates")
+    return points
+
+
 def write_ply(path, points, normals=None) -> None:
     """ASCII PLY with double x y z and optional nx ny nz."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -80,17 +95,17 @@ def read_ply(path) -> tuple[Array, Array | None]:
         elif tok[0] == "end_header":
             body_start = i + 1
             break
-    if count is None or body_start is None:
+    if count is None or count < 0 or body_start is None:
         raise ValueError(f"{path}: malformed PLY header")
     expected = ["x", "y", "z"]
     has_normals = props[:6] == expected + ["nx", "ny", "nz"]
     if props[:3] != expected or (len(props) > 3 and not has_normals):
         raise ValueError(f"{path}: unsupported property layout {props}")
-    rows = [list(map(float, text[body_start + j].split())) for j in range(count)]
-    data = np.asarray(rows, dtype=np.float64).reshape(count, len(props))
-    points = data[:, :3]
+    if len(text) - body_start < count:
+        raise ValueError(f"{path}: truncated, {len(text) - body_start} of {count} vertex rows present")
+    data = _parse_rows(path, text[body_start:body_start + count], None, len(props))
     normals = data[:, 3:6] if has_normals else None
-    return points, normals
+    return _finite_points(path, data), normals
 
 
 def write_csv(path, points, normals=None) -> None:
@@ -113,10 +128,9 @@ def read_csv(path) -> tuple[Array, Array | None]:
     header = [h.strip() for h in lines[0].split(",")]
     if header[:3] != ["x", "y", "z"]:
         raise ValueError(f"{path}: expected header starting with x,y,z, got {header}")
-    rows = [list(map(float, line.split(","))) for line in lines[1:] if line.strip()]
-    data = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
+    data = _parse_rows(path, [line for line in lines[1:] if line.strip()], ",", len(header))
     normals = data[:, 3:6] if header[3:6] == ["nx", "ny", "nz"] else None
-    return data[:, :3], normals
+    return _finite_points(path, data), normals
 
 
 def load_cloud(path) -> tuple[Array, Array | None]:

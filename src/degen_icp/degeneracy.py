@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -27,14 +26,8 @@ from .errors import EmptyFeatureSet, NotUnitLength
 from .geometry import skew_batch
 
 __all__ = [
-    "PlaneFeature",
-    "FeatureNoise",
     "HessianBundle",
     "DirectionReport",
-    "feature_vector",
-    "noise_jacobian",
-    "feature_covariance",
-    "accumulate",
     "accumulate_arrays",
     "direction_stats",
     "gaussian_cdf",
@@ -48,40 +41,16 @@ _UNIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class PlaneFeature:
-    """One point-to-plane correspondence in the sensor frame.
-
-    point_cov is the covariance of additive point noise. normal_cov is the
-    covariance of the small-rotation perturbation eta in the normal model
-    n_hat = n + cross(n, eta); only its component tangent to the normal
-    influences any result.
-    """
-
-    point: Array
-    normal: Array
-    offset: float
-    weight: float
-    point_cov: Array
-    normal_cov: Array
-
-
-@dataclass(frozen=True)
-class FeatureNoise:
-    """Per-feature constraint vector and its first-order covariance."""
-
-    v: Array      # (6,)
-    sigma: Array  # (6, 6)
-
-
-@dataclass(frozen=True)
 class HessianBundle:
     """Accumulated system: Hessian, right-hand side, and noise terms.
 
     vectors stacks the per-feature v's (N, 6); covariances stacks the
-    per-feature noise covariances (N, 6, 6). Keeping the per-feature terms
-    costs O(N) memory but is required: the directional noise variance is
-    quartic in the direction and cannot be pre-reduced to a fixed-size
-    summary.
+    per-feature noise covariances (N, 6, 6). The directional noise variance
+    is quartic in the direction, yet it reduces to a fixed-size summary: it
+    equals (u kron u)^T Q (u kron u) with
+    Q = sum_i 2 vec(S_i) vec(S_i)^T + 4 vec(S_i) vec(v_i v_i^T)^T, which is
+    21x21 once packed by symmetry. The per-feature form is kept for now, at
+    O(N) memory.
     """
 
     hessian: Array      # (6, 6)
@@ -93,10 +62,6 @@ class HessianBundle:
     @property
     def size(self) -> int:
         return self.vectors.shape[0]
-
-    @property
-    def features(self) -> list[FeatureNoise]:
-        return [FeatureNoise(v, s) for v, s in zip(self.vectors, self.covariances)]
 
 
 @dataclass(frozen=True)
@@ -111,47 +76,21 @@ class DirectionReport:
     snr_target: float
 
 
-def feature_vector(f: PlaneFeature) -> Array:
-    """Constraint vector v = w * [p x n; n]."""
-    p = np.asarray(f.point, dtype=np.float64)
-    n = np.asarray(f.normal, dtype=np.float64)
-    return f.weight * np.concatenate([np.cross(p, n), n])
+def accumulate_arrays(points, normals, offsets, weights, point_covs, normal_covs) -> HessianBundle:
+    """Accumulate point-to-plane features, given in the sensor frame, into
+    Hessian, right-hand side and noise terms.
 
-
-def noise_jacobian(f: PlaneFeature) -> Array:
-    """Jacobian of the constraint vector w.r.t. stacked point and normal
-    noise [eps; eta], evaluated at zero noise:
+    points/normals are (N, 3); offsets/weights are (N,); the covariances are
+    (N, 3, 3) or a single (3, 3) broadcast to all features. point_covs is
+    the covariance of additive point noise. normal_covs is the covariance of
+    the small-rotation perturbation eta in the normal model
+    n_hat = n + cross(n, eta); only its component tangent to the normal
+    influences any result. Each feature's noise covariance is
+    B blockdiag(point_cov, normal_cov) B^T, with B the Jacobian of v with
+    respect to [eps; eta] at zero noise:
 
         B = w * [[-skew(n), skew(p) @ skew(n)],
                  [       0,           skew(n)]]
-    """
-    p = np.asarray(f.point, dtype=np.float64)
-    n = np.asarray(f.normal, dtype=np.float64)
-    sn = skew_batch(n[None])[0]
-    sp = skew_batch(p[None])[0]
-    b = np.zeros((6, 6))
-    b[:3, :3] = -sn
-    b[:3, 3:] = sp @ sn
-    b[3:, 3:] = sn
-    return f.weight * b
-
-
-def feature_covariance(f: PlaneFeature) -> FeatureNoise:
-    """Constraint vector plus its first-order covariance
-    B @ blockdiag(point_cov, normal_cov) @ B^T."""
-    b = noise_jacobian(f)
-    block = np.zeros((6, 6))
-    block[:3, :3] = np.asarray(f.point_cov, dtype=np.float64)
-    block[3:, 3:] = np.asarray(f.normal_cov, dtype=np.float64)
-    sigma = b @ block @ b.T
-    return FeatureNoise(feature_vector(f), 0.5 * (sigma + sigma.T))
-
-
-def accumulate_arrays(points, normals, offsets, weights, point_covs, normal_covs) -> HessianBundle:
-    """Vectorized accumulation from plain arrays.
-
-    points/normals are (N, 3); offsets/weights are (N,); the covariances are
-    (N, 3, 3) or a single (3, 3) broadcast to all features.
     """
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
@@ -186,20 +125,6 @@ def accumulate_arrays(points, normals, offsets, weights, point_covs, normal_covs
 
     sigma_total = covariances.sum(axis=0)
     return HessianBundle(hessian, rhs, 0.5 * (sigma_total + sigma_total.T), vectors, covariances)
-
-
-def accumulate(features: Sequence[PlaneFeature]) -> HessianBundle:
-    """Accumulate a feature list into Hessian, right-hand side and noise terms."""
-    feats = list(features)
-    if not feats:
-        raise EmptyFeatureSet("no features to accumulate")
-    points = np.stack([np.asarray(f.point, dtype=np.float64) for f in feats])
-    normals = np.stack([np.asarray(f.normal, dtype=np.float64) for f in feats])
-    offsets = np.array([f.offset for f in feats], dtype=np.float64)
-    weights = np.array([f.weight for f in feats], dtype=np.float64)
-    point_covs = np.stack([np.asarray(f.point_cov, dtype=np.float64) for f in feats])
-    normal_covs = np.stack([np.asarray(f.normal_cov, dtype=np.float64) for f in feats])
-    return accumulate_arrays(points, normals, offsets, weights, point_covs, normal_covs)
 
 
 def direction_stats(bundle: HessianBundle, u) -> tuple[float, float]:

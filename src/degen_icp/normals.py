@@ -21,6 +21,7 @@ __all__ = [
     "fit_plane",
     "fit_planes",
     "normal_covariance",
+    "normal_covariances",
     "normal_vector_cov",
     "is_outlier",
 ]
@@ -145,21 +146,59 @@ def fit_plane(neighbors, viewpoint=None) -> PlaneFit:
     return PlaneFit(batch.normals[0], batch.centroids[0], evals, rot)
 
 
+def _tangent_variances(eigenvalues, sigma_i: float, n_points: int) -> Array:
+    """Variances sigma_i^2 / (n_points * lambda) of a fitted normal's small
+    rotation about its long and short in-plane axes.
+
+    Rows of the (..., 3) result are [s / lambda2, s / lambda1, 0] with
+    s = sigma_i^2 / n_points; an entry is inf where its eigenvalue is zero.
+    """
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    s = sigma_i**2 / n_points
+    var = np.full(lam.shape, np.inf)
+    var[..., 2] = 0.0
+    np.divide(s, lam[..., 1], out=var[..., 0], where=lam[..., 1] > 0.0)
+    np.divide(s, lam[..., 0], out=var[..., 1], where=lam[..., 0] > 0.0)
+    return var
+
+
+def _rotation_covariances(rotations: Array, variances: Array) -> Array:
+    """R diag(var) R^T for stacks of (M, 3, 3) frames and (M, 3) variances."""
+    return np.einsum("mij,mj,mkj->mik", rotations, variances, rotations)
+
+
+def _fit_variances(fit: PlaneFit, sigma_i: float, n_points: int, what: str) -> Array:
+    if n_points < 3:
+        raise TooFewPoints(f"{what} needs n_points >= 3, got {n_points}")
+    if sigma_i < 0.0:
+        raise ValueError("sigma_i must be nonnegative")
+    if float(fit.eigenvalues[1]) <= 0.0:
+        raise DegenerateNeighborhood(f"lambda2 is zero; {what} undefined")
+    return _tangent_variances(fit.eigenvalues, sigma_i, n_points)
+
+
 def normal_covariance(fit: PlaneFit, sigma_i: float, n_points: int) -> NormalCovariance:
     """Tangent-space covariance of the fitted normal for isotropic point
     noise of standard deviation sigma_i over n_points samples."""
-    if n_points < 3:
-        raise TooFewPoints(f"normal covariance needs n_points >= 3, got {n_points}")
-    if sigma_i < 0.0:
-        raise ValueError("sigma_i must be nonnegative")
-    lam1, lam2 = float(fit.eigenvalues[0]), float(fit.eigenvalues[1])
-    if lam2 <= 0.0:
-        raise DegenerateNeighborhood("lambda2 is zero; normal covariance undefined")
-    s = sigma_i**2 / n_points
-    d = np.diag([s / lam2, s / lam1, 0.0])
-    cov = fit.rotation @ d @ fit.rotation.T
-    cov = 0.5 * (cov + cov.T)
-    return NormalCovariance(cov, float(np.sqrt(s / lam2)))
+    var = _fit_variances(fit, sigma_i, n_points, "normal covariance")
+    cov = _rotation_covariances(fit.rotation[None], var[None])[0]
+    return NormalCovariance(0.5 * (cov + cov.T), float(np.sqrt(var[0])))
+
+
+def normal_covariances(
+    batch: PlaneFitBatch, sigma_i: float, n_points: int, sigma_n_max: float
+) -> tuple[Array, Array]:
+    """normal_covariance and is_outlier for a batch of fits over n_points
+    neighbors each.
+
+    Returns (keep, covs). keep (M,) marks the rows that are not collinear and
+    whose worst-case variance sigma_i^2 / (n_points * lambda2) is at most
+    sigma_n_max^2. covs (K, 3, 3) holds the rotation covariances of those K
+    rows, in order; rejected rows are skipped, not computed.
+    """
+    var = _tangent_variances(batch.eigenvalues, sigma_i, n_points)
+    keep = ~batch.collinear & ~(var[:, 0] > sigma_n_max**2)
+    return keep, _rotation_covariances(batch.rotations[keep], var[keep])
 
 
 def normal_vector_cov(fit: PlaneFit, sigma_i: float, n_points: int) -> Array:
@@ -170,16 +209,8 @@ def normal_vector_cov(fit: PlaneFit, sigma_i: float, n_points: int) -> Array:
     Useful for validating fitted-normal scatter; the feature noise model
     consumes normal_covariance().cov instead.
     """
-    if n_points < 3:
-        raise TooFewPoints(f"normal vector covariance needs n_points >= 3, got {n_points}")
-    if sigma_i < 0.0:
-        raise ValueError("sigma_i must be nonnegative")
-    lam1, lam2 = float(fit.eigenvalues[0]), float(fit.eigenvalues[1])
-    if lam2 <= 0.0:
-        raise DegenerateNeighborhood("lambda2 is zero; normal vector covariance undefined")
-    s = sigma_i**2 / n_points
-    d = np.diag([s / lam1, s / lam2, 0.0])
-    cov = fit.rotation @ d @ fit.rotation.T
+    var = _fit_variances(fit, sigma_i, n_points, "normal vector covariance")
+    cov = _rotation_covariances(fit.rotation[None], var[None, [1, 0, 2]])[0]
     return 0.5 * (cov + cov.T)
 
 

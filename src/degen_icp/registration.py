@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 from numpy.typing import NDArray
@@ -21,15 +21,13 @@ from scipy.spatial import cKDTree
 from .degeneracy import (
     DirectionReport,
     HessianBundle,
-    PlaneFeature,
     _direction_reports,
     _eigh_descending,
-    accumulate,
     accumulate_arrays,
 )
 from .errors import EmptyFeatureSet, NoCorrespondences, SingularHessian
 from .geometry import Pose, Twist, compose, exp_se3, frame_change_matrix
-from .normals import fit_planes
+from .normals import fit_planes, normal_covariances
 
 __all__ = [
     "RobustKind",
@@ -46,10 +44,8 @@ __all__ = [
     "RegistrationResult",
     "IcpConfig",
     "robust_weight",
-    "linearize",
     "attenuated_update",
     "solve_update",
-    "information_matrix",
     "extract_features",
     "icp",
 ]
@@ -199,11 +195,6 @@ def robust_weight(cost: RobustCost, u):
     return float(w) if w.ndim == 0 else w
 
 
-def linearize(features: Sequence[PlaneFeature]) -> HessianBundle:
-    """Accumulate point-to-plane features into the linearized system."""
-    return accumulate(features)
-
-
 def _gated_solve(vals: Array, vecs: Array, rhs: Array, gamma: Array) -> Array:
     """U diag(gamma_k / lambda_k) U^T rhs, zeroing numerically-zero eigenvalues."""
     safe = vals > _SINGULAR_EIG
@@ -268,17 +259,6 @@ def solve_update(
     return UpdateSolution(Twist.from_vector(x), gamma, tuple(reports), info)
 
 
-def information_matrix(reports: Sequence[DirectionReport], sigma_r: float) -> Array:
-    """Inverse-covariance estimate (1/sigma_r^2) sum_k p_k lambda_k u_k u_k^T
-    built from direction reports."""
-    if sigma_r <= 0.0:
-        raise ValueError("sigma_r must be positive")
-    total = np.zeros((6, 6))
-    for r in reports:
-        total += r.probability * r.signal * np.outer(r.direction, r.direction)
-    return total / sigma_r**2
-
-
 def extract_features(
     source,
     target,
@@ -315,21 +295,13 @@ def extract_features(
 
     sel_idx = idx[near]
     batch = fit_planes(tgt[sel_idx], viewpoints=np.broadcast_to(pose.translation, (sel_idx.shape[0], 3)))
-    usable = ~batch.collinear
+    keep, rot_cov_w = normal_covariances(batch, config.sigma_i, k, config.sigma_n_max)
     rejected_collinear = int(np.sum(batch.collinear))
-
-    lam2 = batch.eigenvalues[:, 1]
-    worst_var = np.full(lam2.shape, np.inf)
-    np.divide(config.sigma_i**2 / k, lam2, out=worst_var, where=lam2 > 0.0)
-    outlier = worst_var > config.sigma_n_max**2
-    rejected_outlier = int(np.sum(usable & outlier))
-    keep = usable & ~outlier
+    rejected_outlier = int(np.sum(~batch.collinear & ~keep))
     if not np.any(keep):
         raise NoCorrespondences("no usable features after filtering")
 
     n_w = batch.normals[keep]
-    rot_w = batch.rotations[keep]
-    lam = batch.eigenvalues[keep]
     anchors = tgt[sel_idx[keep, 0]]
     d_w = np.einsum("mi,mi->m", n_w, anchors)
     residuals = np.einsum("mi,mi->m", n_w, p_world[near][keep]) - d_w
@@ -343,13 +315,6 @@ def extract_features(
     d_l = d_w - n_w @ pose.translation
     p_l = src[near][keep]
 
-    # Rotation-perturbation covariance of each fitted normal: variance s/lam2
-    # about the long in-plane axis, s/lam1 about the short one.
-    s_fac = config.sigma_i**2 / k
-    dvals = np.zeros((n_w.shape[0], 3))
-    dvals[:, 0] = s_fac / lam[:, 1]
-    dvals[:, 1] = s_fac / lam[:, 0]
-    rot_cov_w = np.einsum("mij,mj,mkj->mik", rot_w, dvals, rot_w)
     rot_cov_l = np.einsum("ji,mjk,kl->mil", pose.rotation, rot_cov_w, pose.rotation)
     point_cov = config.sigma_p**2 * np.eye(3)
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .degeneracy import PlaneFeature, accumulate_arrays
+from .degeneracy import accumulate_arrays
 from .errors import InvalidDimensions, RequiresDegenerateScene
 from .geometry import skew_batch
 from .registration import Probabilistic, solve_update
@@ -33,9 +33,7 @@ __all__ = [
     "NoiseSpec",
     "SpuriousInfoReport",
     "generate_scene",
-    "apply_noise",
     "noisy_feature_arrays",
-    "mc_hessian_stats",
     "mc_direction_stats",
     "spurious_info_demo",
 ]
@@ -286,35 +284,13 @@ def noisy_feature_arrays(
     return points, normals, sample.offsets.copy(), weights, point_cov, normal_covs
 
 
-def apply_noise(sample: SceneSample, noise: NoiseSpec, normal_model: str = "rotation") -> list[PlaneFeature]:
-    """Noisy features for a scene sample, with the matching noise covariances.
-
-    Offsets stay at their true values (they play the role of map knowledge);
-    per-feature covariances are sigma_p^2 I and the tangent-plane restriction
-    of sigma_n^2 I around each drawn normal.
-    """
-    points, normals, offsets, weights, point_cov, normal_covs = noisy_feature_arrays(
-        sample, noise, normal_model
-    )
-    return [
-        PlaneFeature(
-            point=points[i],
-            normal=normals[i],
-            offset=float(offsets[i]),
-            weight=float(weights[i]),
-            point_cov=point_cov,
-            normal_cov=normal_covs[i],
-        )
-        for i in range(points.shape[0])
-    ]
-
-
 def _chunk_rows(n_features: int) -> int:
     return max(1, _CHUNK_ELEMENTS // max(n_features * 6, 1))
 
 
-def _noisy_vectors(rng, points, normals, weights, t1, t2, sigma_p, sigma_n, rows, normal_model) -> Array:
-    """One chunk of noisy feature vectors, shape (rows, N, 6).
+def _noisy_vectors(rng, points, normals, weights, t1, t2, sigma_p, sigma_n, rows) -> Array:
+    """One chunk of noisy feature vectors, shape (rows, N, 6), under the
+    small-angle normal model of the closed-form statistics.
 
     Draw order per chunk: point noise first, then tangent coefficients.
     """
@@ -323,43 +299,54 @@ def _noisy_vectors(rng, points, normals, weights, t1, t2, sigma_p, sigma_n, rows
     coeffs = sigma_n * rng.standard_normal((rows, n_feat, 2))
     eta = coeffs[..., 0:1] * t1 + coeffs[..., 1:2] * t2
     p_hat = points + eps
-    n_hat = _perturb_normals(normals, eta, normal_model)
+    n_hat = _perturb_normals(normals, eta, "small-angle")
     return weights[:, None] * np.concatenate([np.cross(p_hat, n_hat), n_hat], axis=-1)
 
 
-def _mc_quadratic_stats(
-    points: Array,
-    normals: Array,
-    weights: Array,
-    sigma_p: float,
-    sigma_n: float,
-    directions: Array,
-    trials: int,
-    seed,
-    normal_model: str = "small-angle",
-) -> tuple[Array, Array]:
-    """Monte Carlo mean and unbiased variance of u^T H_hat u per direction.
+def _mc_chunks(
+    points: Array, normals: Array, weights: Array, sigma_p: float, sigma_n: float, trials: int, seed
+) -> Iterator[Array]:
+    """Noisy feature vectors for `trials` independent draws, one chunk at a
+    time; chunk i uses the i-th child of the SeedSequence seed, so chunk
+    evaluation order cannot change the result."""
+    t1, t2 = _tangent_basis(normals)
+    rows = _chunk_rows(points.shape[0])
+    done = 0
+    for child in seed.spawn((trials + rows - 1) // rows):
+        m = min(rows, trials - done)
+        rng = np.random.default_rng(child)
+        yield _noisy_vectors(rng, points, normals, weights, t1, t2, sigma_p, sigma_n, m)
+        done += m
 
-    directions is (6, D). Chunked Welford accumulation; chunk i uses the i-th
-    child of the seed sequence, so chunk evaluation order cannot change the
-    result.
+
+def mc_direction_stats(
+    points, normals, weights, noise: NoiseSpec, directions, trials: int
+) -> tuple[Array, Array]:
+    """Brute-force oracle: sample mean and unbiased sample variance of
+    u^T H_hat u for each unit direction column u of directions (6, D), over
+    independent noise draws on noise-free features.
+
+    points/normals are (N, 3) and weights (N,). All directions share the
+    same draws. Normals are perturbed with the additive small-angle form,
+    the model behind the closed-form statistics; the sampled vectors keep
+    the full nonlinear product of noisy point and noisy normal. Chunked
+    Welford accumulation.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (points.shape[0],))
     dirs = np.asarray(directions, dtype=np.float64).reshape(6, -1)
-    t1, t2 = _tangent_basis(normals)
-    rows = _chunk_rows(points.shape[0])
-    n_chunks = (trials + rows - 1) // rows
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
+    chunks = _mc_chunks(
+        points, normals, weights, noise.sigma_p, noise.sigma_n, trials, np.random.SeedSequence(noise.seed)
+    )
 
     count = 0
     mean = np.zeros(dirs.shape[1])
     m2 = np.zeros(dirs.shape[1])
-    done = 0
-    for i in range(n_chunks):
-        m = min(rows, trials - done)
-        rng = np.random.default_rng(children[i])
-        v = _noisy_vectors(rng, points, normals, weights, t1, t2, sigma_p, sigma_n, m, normal_model)
+    for v in chunks:
+        m = v.shape[0]
         proj = v @ dirs                      # (m, N, D)
         vals = np.sum(proj * proj, axis=1)   # (m, D)
         c_mean = vals.mean(axis=0)
@@ -369,54 +356,7 @@ def _mc_quadratic_stats(
         mean = mean + delta * (m / total)
         m2 = m2 + c_m2 + delta**2 * (count * m / total)
         count = total
-        done += m
     return mean, m2 / (count - 1)
-
-
-def _stack_true_feature_arrays(features: Sequence[PlaneFeature]) -> tuple[Array, Array, Array]:
-    points = np.stack([np.asarray(f.point, dtype=np.float64) for f in features])
-    normals = np.stack([np.asarray(f.normal, dtype=np.float64) for f in features])
-    weights = np.array([f.weight for f in features], dtype=np.float64)
-    return points, normals, weights
-
-
-def mc_hessian_stats(
-    features: Sequence[PlaneFeature],
-    noise: NoiseSpec,
-    u,
-    trials: int,
-    normal_model: str = "small-angle",
-) -> tuple[float, float]:
-    """Brute-force oracle: sample mean and unbiased sample variance of
-    u^T H_hat u over independent noise draws on noise-free features.
-
-    u is expected to be a unit 6-vector. The default normal model is the
-    additive small-angle form, matching the model behind the closed-form
-    statistics; the sampled vectors keep the full nonlinear product of noisy
-    point and noisy normal.
-    """
-    points, normals, weights = _stack_true_feature_arrays(features)
-    u = np.asarray(u, dtype=np.float64).reshape(6, 1)
-    mean, var = _mc_quadratic_stats(
-        points, normals, weights, noise.sigma_p, noise.sigma_n, u, trials, noise.seed, normal_model
-    )
-    return float(mean[0]), float(var[0])
-
-
-def mc_direction_stats(
-    features: Sequence[PlaneFeature],
-    noise: NoiseSpec,
-    directions,
-    trials: int,
-    normal_model: str = "small-angle",
-) -> tuple[Array, Array]:
-    """mc_hessian_stats for several direction columns (6, D) at once, sharing
-    the same noise draws across directions."""
-    points, normals, weights = _stack_true_feature_arrays(features)
-    dirs = np.asarray(directions, dtype=np.float64).reshape(6, -1)
-    return _mc_quadratic_stats(
-        points, normals, weights, noise.sigma_p, noise.sigma_n, dirs, trials, noise.seed, normal_model
-    )
 
 
 def _nearest_on_plane_points(sample: SceneSample, anchors: Array) -> Array:
@@ -471,18 +411,9 @@ def spurious_info_demo(
     ss_mean, ss_solve = root.spawn(2)
 
     # Expectation identity by Monte Carlo (zero point noise).
-    t1, t2 = _tangent_basis(normals)
-    rows = _chunk_rows(n_feat)
-    n_chunks = (trials + rows - 1) // rows
-    children = ss_mean.spawn(n_chunks)
     acc = np.zeros((6, 6))
-    done = 0
-    for i in range(n_chunks):
-        m = min(rows, trials - done)
-        rng = np.random.default_rng(children[i])
-        vv = _noisy_vectors(rng, points, normals, weights, t1, t2, 0.0, sigma_n, m, "small-angle")
+    for vv in _mc_chunks(points, normals, weights, 0.0, sigma_n, trials, ss_mean):
         acc += np.einsum("mni,mnj->ij", vv, vv)
-        done += m
     mean_h = acc / trials
     # Gauge the identity error against the predicted inflation; fall back to
     # the Hessian scale when the predicted inflation is zero (zero noise).
@@ -501,6 +432,7 @@ def spurious_info_demo(
     # Paired solves on a subsample of the draws.
     m_solves = min(trials, solve_trials)
     solve_children = ss_solve.spawn(m_solves)
+    t1, t2 = _tangent_basis(normals)
     k_null = sample.null_basis.shape[0]
     abs_std = np.zeros(k_null)
     abs_prob = np.zeros(k_null)
@@ -509,7 +441,7 @@ def spurious_info_demo(
         rng = np.random.default_rng(solve_children[i])
         coeffs = sigma_n * rng.standard_normal((n_feat, 2))
         eta = coeffs[:, 0:1] * t1 + coeffs[:, 1:2] * t2
-        n_hat = normals + np.cross(normals, eta)
+        n_hat = _perturb_normals(normals, eta, "small-angle")
         unit = n_hat / np.linalg.norm(n_hat, axis=1, keepdims=True)
         normal_covs = sigma_n**2 * (np.eye(3) - np.einsum("ni,nj->nij", unit, unit))
         bundle = accumulate_arrays(points, n_hat, offsets, weights, point_cov, normal_covs)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from degen_icp import PlaneFeature, Pose, exp_so3
+from degen_icp import Pose, exp_so3, skew
 
 
 def random_rotation(rng):
@@ -43,11 +43,33 @@ def random_feature_arrays(rng, count, scale=2.0, sigma_p=0.01, sigma_n=0.01, on_
     return points, normals, offsets, weights, point_cov, normal_covs
 
 
-def random_feature_list(rng, count, **kwargs):
-    points, normals, offsets, weights, point_cov, normal_covs = random_feature_arrays(
-        rng, count, **kwargs
-    )
-    return [
-        PlaneFeature(points[i], normals[i], float(offsets[i]), float(weights[i]), point_cov, normal_covs[i])
-        for i in range(count)
-    ]
+# Slow per-feature reference for accumulate_arrays: one constraint vector,
+# noise Jacobian and noise covariance at a time, written directly from the
+# model instead of the batched block formulas.
+
+
+def feature_vector(p, n, w):
+    """Constraint vector v = w * [p x n; n]."""
+    p, n = np.asarray(p, dtype=float), np.asarray(n, dtype=float)
+    return w * np.concatenate([np.cross(p, n), n])
+
+
+def noise_jacobian(p, n, w):
+    """Jacobian of v with respect to stacked point and normal noise
+    [eps; eta] at zero noise, for the normal model n + cross(n, eta)."""
+    sn, sp = skew(np.asarray(n, dtype=float)), skew(np.asarray(p, dtype=float))
+    b = np.zeros((6, 6))
+    b[:3, :3] = -sn
+    b[:3, 3:] = sp @ sn
+    b[3:, 3:] = sn
+    return w * b
+
+
+def feature_covariance(p, n, w, point_cov, normal_cov):
+    """First-order noise covariance B blockdiag(point_cov, normal_cov) B^T."""
+    b = noise_jacobian(p, n, w)
+    block = np.zeros((6, 6))
+    block[:3, :3] = point_cov
+    block[3:, 3:] = normal_cov
+    sigma = b @ block @ b.T
+    return 0.5 * (sigma + sigma.T)

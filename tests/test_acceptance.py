@@ -13,7 +13,6 @@ from conftest import rotation_angle
 from degen_icp import (
     IcpConfig,
     NoiseSpec,
-    PlaneFeature,
     Pose,
     Probabilistic,
     SceneKind,
@@ -53,12 +52,8 @@ def _random_feature_set(rng, count, sigma_p, sigma_n):
     weights = rng.uniform(0.5, 2.0, count)
     point_cov = sigma_p**2 * np.eye(3)
     normal_covs = sigma_n**2 * (np.eye(3) - np.einsum("ni,nj->nij", normals, normals))
-    features = [
-        PlaneFeature(points[i], normals[i], float(offsets[i]), float(weights[i]), point_cov, normal_covs[i])
-        for i in range(count)
-    ]
     bundle = accumulate_arrays(points, normals, offsets, weights, point_cov, normal_covs)
-    return features, bundle
+    return (points, normals, weights), bundle
 
 
 def test_criterion_01_monte_carlo_oracle_agreement():
@@ -73,10 +68,12 @@ def test_criterion_01_monte_carlo_oracle_agreement():
     for idx in range(20):
         seed = int(master.integers(0, 2**63 - 1))
         rng = np.random.default_rng(seed)
-        features, bundle = _random_feature_set(rng, 100, sigma, sigma)
+        (points, normals, weights), bundle = _random_feature_set(rng, 100, sigma, sigma)
         directions = rng.standard_normal((6, 10))
         directions /= np.linalg.norm(directions, axis=0, keepdims=True)
-        mc_mean, mc_var = mc_direction_stats(features, NoiseSpec(sigma, sigma, seed + 1), directions, trials)
+        mc_mean, mc_var = mc_direction_stats(
+            points, normals, weights, NoiseSpec(sigma, sigma, seed + 1), directions, trials
+        )
         for d in range(10):
             u = directions[:, d]
             mu, sigma2 = direction_stats(bundle, u)

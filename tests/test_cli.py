@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from degen_icp import cloud_io
 from degen_icp.cli import main
@@ -237,14 +238,27 @@ class TestConfigAndErrors:
     def test_invalid_flag_value(self, tmp_path):
         assert _run("detect", "--kind", "room", "--sigma-p", -0.5) == 2
 
-    def test_threads_env_validated(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DEGEN_ICP_THREADS", "0")
-        assert _run("detect", "--kind", "room", "--points", 200) == 2
-        monkeypatch.setenv("DEGEN_ICP_THREADS", "4")
-        assert _run("detect", "--kind", "room", "--points", 200) == 0
-
     def test_missing_cloud_file(self, tmp_path):
         assert _run("detect", "--cloud", tmp_path / "nope.ply") == 1
+
+    def test_truncated_ply(self, tmp_path, capsys):
+        assert _run("simulate", "--kind", "room", "--seed", 1, "--points", 300, "--out", tmp_path) == 0
+        cut = tmp_path / "cut.ply"
+        cut.write_text("\n".join((tmp_path / "noisy.ply").read_text().splitlines()[:20]) + "\n")
+        assert _run("detect", "--cloud", cut) == 1
+        err = capsys.readouterr().err
+        assert "cut.ply" in err and "truncated" in err
+
+    @pytest.mark.parametrize("fmt", ["ply", "csv"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cloud(self, tmp_path, capsys, fmt, bad):
+        points = np.random.default_rng(1).uniform(-1, 1, (300, 3))
+        points[7, 1] = bad
+        path = tmp_path / f"bad.{fmt}"
+        (cloud_io.write_ply if fmt == "ply" else cloud_io.write_csv)(path, points)
+        assert _run("detect", "--cloud", path) == 1
+        err = capsys.readouterr().err
+        assert f"bad.{fmt}" in err and "non-finite" in err
 
 
 def test_console_entry_point():

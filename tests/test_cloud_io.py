@@ -42,6 +42,13 @@ class TestPly:
         with pytest.raises(ValueError, match="ASCII"):
             cloud_io.read_ply(path)
 
+    def test_rejects_negative_vertex_count(self, tmp_path):
+        path = tmp_path / "neg.ply"
+        header = "ply\nformat ascii 1.0\nelement vertex -2\n" + "".join(f"property double {c}\n" for c in "xyz")
+        path.write_text(header + "end_header\n0 0 0\n1 0 0\n0 1 0\n")
+        with pytest.raises(ValueError, match="neg.ply: malformed PLY header"):
+            cloud_io.read_ply(path)
+
 
 class TestCsv:
     def test_round_trip(self, cloud):

@@ -1,36 +1,34 @@
 import numpy as np
 import pytest
-from conftest import random_feature_arrays, random_pose, random_unit
+from conftest import (
+    feature_covariance,
+    feature_vector,
+    noise_jacobian,
+    random_feature_arrays,
+    random_pose,
+    random_unit,
+)
 from scipy.integrate import quad
 
 from degen_icp import (
     EmptyFeatureSet,
+    NoiseSpec,
     NotUnitLength,
-    PlaneFeature,
     SceneKind,
     SceneSpec,
-    accumulate,
     accumulate_arrays,
     analyze,
-    apply_noise,
     degeneracy_probability,
     direction_stats,
-    feature_covariance,
-    feature_vector,
     frame_change_matrix,
     gaussian_cdf,
     generate_scene,
-    noise_jacobian,
-    NoiseSpec,
+    noisy_feature_arrays,
     skew,
 )
 
 EZ = np.array([0.0, 0.0, 1.0])
 ZERO3 = np.zeros((3, 3))
-
-
-def _feature(point, normal, offset=0.0, weight=1.0, point_cov=ZERO3, normal_cov=ZERO3):
-    return PlaneFeature(np.asarray(point, float), np.asarray(normal, float), offset, weight, point_cov, normal_cov)
 
 
 def _phi_by_quadrature(x):
@@ -42,23 +40,23 @@ def _phi_by_quadrature(x):
 
 class TestFeatureVector:
     def test_point_at_origin(self):
-        np.testing.assert_array_equal(feature_vector(_feature([0, 0, 0], EZ)), [0, 0, 0, 0, 0, 1])
+        np.testing.assert_array_equal(feature_vector([0, 0, 0], EZ, 1.0), [0, 0, 0, 0, 0, 1])
 
     def test_cross_product_block(self):
-        v = feature_vector(_feature([1, 0, 0], EZ))
+        v = feature_vector([1, 0, 0], EZ, 1.0)
         np.testing.assert_array_equal(v, [0, -1, 0, 0, 0, 1])
 
     def test_linear_in_weight(self):
         rng = np.random.default_rng(0)
         p, n = rng.standard_normal(3), random_unit(rng, 3)
-        v1 = feature_vector(_feature(p, n, weight=1.0))
-        v2 = feature_vector(_feature(p, n, weight=2.0))
+        v1 = feature_vector(p, n, 1.0)
+        v2 = feature_vector(p, n, 2.0)
         np.testing.assert_array_equal(v2, 2.0 * v1)
 
 
 class TestNoiseJacobian:
     def test_origin_block_structure(self):
-        b = noise_jacobian(_feature([0, 0, 0], EZ))
+        b = noise_jacobian([0, 0, 0], EZ, 1.0)
         expected = np.zeros((6, 6))
         expected[:3, :3] = -skew(EZ)
         expected[3:, 3:] = skew(EZ)
@@ -69,7 +67,7 @@ class TestNoiseJacobian:
         for _ in range(10):
             p, n = rng.standard_normal(3), random_unit(rng, 3)
             w = rng.uniform(0.5, 2.0)
-            b = noise_jacobian(_feature(p, n, weight=w))
+            b = noise_jacobian(p, n, w)
 
             def v_of(eps, eta):
                 p_hat = p + eps
@@ -88,24 +86,22 @@ class TestNoiseJacobian:
         rng = np.random.default_rng(2)
         p, n = rng.standard_normal(3), random_unit(rng, 3)
         np.testing.assert_allclose(
-            noise_jacobian(_feature(p, n, weight=3.0)),
-            3.0 * noise_jacobian(_feature(p, n, weight=1.0)),
+            noise_jacobian(p, n, 3.0),
+            3.0 * noise_jacobian(p, n, 1.0),
             atol=1e-15,
         )
 
 
 class TestFeatureCovariance:
     def test_zero_noise_gives_zero(self):
-        fn = feature_covariance(_feature([1, 2, 3], EZ))
-        np.testing.assert_array_equal(fn.sigma, np.zeros((6, 6)))
+        sigma = feature_covariance([1, 2, 3], EZ, 1.0, ZERO3, ZERO3)
+        np.testing.assert_array_equal(sigma, np.zeros((6, 6)))
 
     def test_origin_axis_aligned_case(self):
         sp, sn = 0.02, 0.005
-        fn = feature_covariance(
-            _feature([0, 0, 0], EZ, point_cov=sp**2 * np.eye(3), normal_cov=sn**2 * np.eye(3))
-        )
+        sigma = feature_covariance([0, 0, 0], EZ, 1.0, sp**2 * np.eye(3), sn**2 * np.eye(3))
         expected = np.diag([sp**2, sp**2, 0.0, sn**2, sn**2, 0.0])
-        np.testing.assert_allclose(fn.sigma, expected, atol=1e-15)
+        np.testing.assert_allclose(sigma, expected, atol=1e-15)
 
     def test_symmetric_psd(self):
         rng = np.random.default_rng(3)
@@ -113,31 +109,42 @@ class TestFeatureCovariance:
             p, n = rng.standard_normal(3), random_unit(rng, 3)
             a = rng.standard_normal((3, 3))
             b = rng.standard_normal((3, 3))
-            fn = feature_covariance(
-                _feature(p, n, weight=rng.uniform(0.5, 2), point_cov=a @ a.T, normal_cov=b @ b.T)
-            )
-            np.testing.assert_allclose(fn.sigma, fn.sigma.T, atol=1e-12)
-            assert np.linalg.eigvalsh(fn.sigma).min() >= -1e-10
+            sigma = feature_covariance(p, n, rng.uniform(0.5, 2), a @ a.T, b @ b.T)
+            np.testing.assert_allclose(sigma, sigma.T, atol=1e-12)
+            assert np.linalg.eigvalsh(sigma).min() >= -1e-10
 
 
 class TestAccumulate:
     def test_single_feature_on_plane(self):
-        bundle = accumulate([_feature([0, 0, 0], EZ, offset=0.0)])
+        bundle = accumulate_arrays([[0, 0, 0]], EZ, 0.0, 1.0, ZERO3, ZERO3)
         e6 = np.zeros(6)
         e6[5] = 1.0
         np.testing.assert_array_equal(bundle.hessian, np.outer(e6, e6))
         np.testing.assert_array_equal(bundle.rhs, np.zeros(6))
 
     def test_two_identical_features_double(self):
-        f = _feature([1.0, -0.5, 2.0], EZ, offset=2.0)
-        one = accumulate([f])
-        two = accumulate([f, f])
+        p = [1.0, -0.5, 2.0]
+        one = accumulate_arrays([p], EZ, 2.0, 1.0, ZERO3, ZERO3)
+        two = accumulate_arrays([p, p], [EZ, EZ], 2.0, 1.0, ZERO3, ZERO3)
         np.testing.assert_array_equal(two.hessian, 2.0 * one.hessian)
         np.testing.assert_array_equal(two.rhs, 2.0 * one.rhs)
 
     def test_empty_raises(self):
         with pytest.raises(EmptyFeatureSet):
-            accumulate([])
+            accumulate_arrays(np.zeros((0, 3)), np.zeros((0, 3)), [], [], ZERO3, ZERO3)
+
+    def test_matches_per_feature_reference(self):
+        rng = np.random.default_rng(10)
+        points, normals, offsets, weights, point_cov, normal_covs = random_feature_arrays(
+            rng, 40, sigma_p=0.02, sigma_n=0.01
+        )
+        assert normal_covs.shape == (40, 3, 3) and np.ptp(weights) > 0.0
+        bundle = accumulate_arrays(points, normals, offsets, weights, point_cov, normal_covs)
+        for i in range(40):
+            v = feature_vector(points[i], normals[i], weights[i])
+            cov = feature_covariance(points[i], normals[i], weights[i], point_cov, normal_covs[i])
+            assert np.linalg.norm(bundle.vectors[i] - v) <= 1e-12 * np.linalg.norm(v)
+            assert np.linalg.norm(bundle.covariances[i] - cov) <= 1e-12 * np.linalg.norm(cov)
 
     def test_hessian_is_sum_of_outer_products(self):
         rng = np.random.default_rng(4)
@@ -170,24 +177,20 @@ class TestAccumulate:
 
 class TestDirectionStats:
     def test_zero_covariances(self):
-        bundle = accumulate([_feature([0.5, 0.5, 0.0], EZ)])
+        bundle = accumulate_arrays([[0.5, 0.5, 0.0]], EZ, 0.0, 1.0, ZERO3, ZERO3)
         mu, s2 = direction_stats(bundle, random_unit(np.random.default_rng(7), 6))
         assert mu == 0.0 and s2 == 0.0
 
     def test_axis_aligned_zero_direction(self):
         sn = 0.01
-        bundle = accumulate(
-            [_feature([0, 0, 0], EZ, point_cov=0.02**2 * np.eye(3), normal_cov=sn**2 * np.eye(3))]
-        )
+        bundle = accumulate_arrays([[0, 0, 0]], EZ, 0.0, 1.0, 0.02**2 * np.eye(3), sn**2 * np.eye(3))
         u = np.zeros(6)
         u[5] = 1.0  # z-translation: no noise enters this component
         assert direction_stats(bundle, u) == (0.0, 0.0)
 
     def test_axis_aligned_translation_direction(self):
         sn = 0.01
-        bundle = accumulate(
-            [_feature([0, 0, 0], EZ, normal_cov=sn**2 * np.eye(3))]
-        )
+        bundle = accumulate_arrays([[0, 0, 0]], EZ, 0.0, 1.0, ZERO3, sn**2 * np.eye(3))
         u = np.zeros(6)
         u[3] = 1.0  # x-translation
         mu, s2 = direction_stats(bundle, u)
@@ -195,23 +198,29 @@ class TestDirectionStats:
         assert s2 == pytest.approx(2 * sn**4, abs=1e-22)
 
     def test_requires_unit_direction(self):
-        bundle = accumulate([_feature([0, 0, 0], EZ)])
+        bundle = accumulate_arrays([[0, 0, 0]], EZ, 0.0, 1.0, ZERO3, ZERO3)
         with pytest.raises(NotUnitLength):
             direction_stats(bundle, np.ones(6))
 
     def test_additivity_over_sublists(self):
         # Dyadic-valued features keep float sums exact.
-        feats = [
-            _feature([0.5, 0.25, 1.0], EZ, weight=2.0, point_cov=0.25 * np.eye(3), normal_cov=0.125 * np.eye(3)),
-            _feature([1.0, -0.5, 0.5], [0.0, 1.0, 0.0], weight=0.5, point_cov=0.5 * np.eye(3), normal_cov=0.25 * np.eye(3)),
-            _feature([-0.25, 2.0, 0.0], [1.0, 0.0, 0.0], weight=1.0, point_cov=0.125 * np.eye(3), normal_cov=0.5 * np.eye(3)),
-            _feature([0.125, 0.0, -1.0], EZ, weight=1.0, point_cov=np.eye(3), normal_cov=np.eye(3)),
-        ]
+        points = np.array([[0.5, 0.25, 1.0], [1.0, -0.5, 0.5], [-0.25, 2.0, 0.0], [0.125, 0.0, -1.0]])
+        normals = np.array([EZ, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], EZ])
+        weights = np.array([2.0, 0.5, 1.0, 1.0])
+        point_covs = np.array([0.25, 0.5, 0.125, 1.0])[:, None, None] * np.eye(3)
+        normal_covs = np.array([0.125, 0.25, 0.5, 1.0])[:, None, None] * np.eye(3)
+
+        def stats(rows):
+            bundle = accumulate_arrays(
+                points[rows], normals[rows], 0.0, weights[rows], point_covs[rows], normal_covs[rows]
+            )
+            return direction_stats(bundle, u)
+
         u = np.zeros(6)
         u[1] = 1.0
-        mu_all, s2_all = direction_stats(accumulate(feats), u)
-        mu_a, s2_a = direction_stats(accumulate(feats[:2]), u)
-        mu_b, s2_b = direction_stats(accumulate(feats[2:]), u)
+        mu_all, s2_all = stats(slice(None))
+        mu_a, s2_a = stats(slice(0, 2))
+        mu_b, s2_b = stats(slice(2, None))
         assert mu_all == mu_a + mu_b
         assert s2_all == s2_a + s2_b
 
@@ -264,15 +273,15 @@ class TestDegeneracyProbability:
 class TestAnalyze:
     def test_noise_free_room_all_probability_one(self):
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=500, seed=0))
-        feats = apply_noise(sample, NoiseSpec(0.0, 0.0, 0))
-        reports = analyze(accumulate(feats), 10.0)
+        arrays = noisy_feature_arrays(sample, NoiseSpec(0.0, 0.0, 0))
+        reports = analyze(accumulate_arrays(*arrays), 10.0)
         assert all(r.probability == 1.0 for r in reports)
         assert all(r.signal > 0 for r in reports)
 
     def test_noise_free_corridor_null_probability_zero(self):
         sample = generate_scene(SceneSpec(SceneKind.CORRIDOR, point_count=500, seed=1))
-        feats = apply_noise(sample, NoiseSpec(0.0, 0.0, 0))
-        reports = analyze(accumulate(feats), 10.0)
+        arrays = noisy_feature_arrays(sample, NoiseSpec(0.0, 0.0, 0))
+        reports = analyze(accumulate_arrays(*arrays), 10.0)
         null = sample.null_basis[0]
         degenerate = [r for r in reports if abs(r.direction @ null) > 0.99]
         assert len(degenerate) == 1
@@ -281,8 +290,8 @@ class TestAnalyze:
 
     def test_noisy_plane_classification(self):
         sample = generate_scene(SceneSpec(SceneKind.INFINITE_PLANE, point_count=2000, seed=2))
-        feats = apply_noise(sample, NoiseSpec(0.01, 0.01, 3))
-        reports = analyze(accumulate(feats), 10.0)
+        arrays = noisy_feature_arrays(sample, NoiseSpec(0.01, 0.01, 3))
+        reports = analyze(accumulate_arrays(*arrays), 10.0)
         probs = np.array([r.probability for r in reports])
         low = probs < 0.01
         assert low.sum() == 3 and (probs > 0.99).sum() == 3
@@ -291,7 +300,7 @@ class TestAnalyze:
             assert proj > 0.9 if is_low else proj < 0.1
 
     def test_warns_below_six_features(self):
-        bundle = accumulate([_feature([0, 0, 0], EZ)])
+        bundle = accumulate_arrays([[0, 0, 0]], EZ, 0.0, 1.0, ZERO3, ZERO3)
         with pytest.warns(RuntimeWarning):
             analyze(bundle, 10.0)
 

@@ -1,5 +1,5 @@
 import numpy as np
-from conftest import random_pose
+from conftest import feature_vector, random_pose
 
 from degen_icp import (
     Pose,
@@ -117,10 +117,6 @@ class TestGroupOps:
         np.testing.assert_allclose(a.apply(pts), (a.matrix() @ hom.T).T[:, :3], atol=1e-12)
 
 
-def _feature_vec(p, n, w):
-    return w * np.concatenate([np.cross(p, n), n])
-
-
 class TestFrameChange:
     def test_identity_pose(self):
         np.testing.assert_array_equal(frame_change_matrix(Pose.identity()), np.eye(6))
@@ -141,9 +137,9 @@ class TestFrameChange:
             n = rng.standard_normal(3)
             n /= np.linalg.norm(n)
             w = rng.uniform(0.5, 2.0)
-            moved = _feature_vec(pose.apply(p), pose.rotation @ n, w)
+            moved = feature_vector(pose.apply(p), pose.rotation @ n, w)
             np.testing.assert_allclose(
-                frame_change_matrix(pose) @ _feature_vec(p, n, w), moved, atol=1e-12
+                frame_change_matrix(pose) @ feature_vector(p, n, w), moved, atol=1e-12
             )
 
     def test_multiplicative_over_composition(self):

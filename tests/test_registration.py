@@ -8,7 +8,6 @@ from degen_icp import (
     IcpConfig,
     NoCorrespondences,
     NoiseSpec,
-    PlaneFeature,
     Pose,
     Probabilistic,
     RobustCost,
@@ -18,16 +17,13 @@ from degen_icp import (
     SingularHessian,
     SolutionRemap,
     Standard,
-    accumulate,
     accumulate_arrays,
-    apply_noise,
     attenuated_update,
     exp_so3,
     extract_features,
     generate_scene,
+    noisy_feature_arrays,
     icp,
-    information_matrix,
-    linearize,
     robust_weight,
     solve_update,
 )
@@ -67,18 +63,18 @@ class TestRobustWeight:
 
 class TestLinearize:
     def test_on_plane_residual_is_zero(self):
-        bundle = linearize([PlaneFeature(np.array([1.0, 2.0, 0.0]), EZ, 0.0, 1.0, ZERO3, ZERO3)])
+        bundle = accumulate_arrays([[1.0, 2.0, 0.0]], EZ, 0.0, 1.0, ZERO3, ZERO3)
         np.testing.assert_array_equal(bundle.rhs, np.zeros(6))
 
     def test_residual_sign_pushes_toward_plane(self):
         # Point at origin, plane z = 0.1: the update must push +z.
-        bundle = linearize([PlaneFeature(np.zeros(3), EZ, 0.1, 1.0, ZERO3, ZERO3)])
+        bundle = accumulate_arrays([[0.0, 0.0, 0.0]], EZ, 0.1, 1.0, ZERO3, ZERO3)
         np.testing.assert_allclose(bundle.rhs, [0, 0, 0, 0, 0, 0.1], atol=1e-15)
 
     def test_weight_doubles_jacobian_and_residual(self):
-        f1 = PlaneFeature(np.array([0.5, -1.0, 0.2]), EZ, 0.5, 1.0, ZERO3, ZERO3)
-        f2 = PlaneFeature(np.array([0.5, -1.0, 0.2]), EZ, 0.5, 2.0, ZERO3, ZERO3)
-        b1, b2 = linearize([f1]), linearize([f2])
+        p = [[0.5, -1.0, 0.2]]
+        b1 = accumulate_arrays(p, EZ, 0.5, 1.0, ZERO3, ZERO3)
+        b2 = accumulate_arrays(p, EZ, 0.5, 2.0, ZERO3, ZERO3)
         np.testing.assert_array_equal(b2.vectors, 2.0 * b1.vectors)  # J doubles
         np.testing.assert_array_equal(b2.rhs, 4.0 * b1.rhs)          # J^T b quadruples
 
@@ -86,7 +82,7 @@ class TestLinearize:
 class TestSolveUpdate:
     def test_probabilistic_equals_standard_when_certain(self):
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=400, seed=0))
-        bundle = accumulate(apply_noise(sample, NoiseSpec(0.0, 0.0, 0)))
+        bundle = accumulate_arrays(*noisy_feature_arrays(sample, NoiseSpec(0.0, 0.0, 0)))
         x_std = solve_update(bundle, Standard()).twist.vector()
         x_prob = solve_update(bundle, Probabilistic(10.0)).twist.vector()
         assert np.linalg.norm(x_prob - x_std) <= 1e-10 * max(np.linalg.norm(x_std), 1.0)
@@ -108,7 +104,7 @@ class TestSolveUpdate:
 
     def test_standard_raises_on_singular(self):
         sample = generate_scene(SceneSpec(SceneKind.CORRIDOR, point_count=400, seed=2))
-        bundle = accumulate(apply_noise(sample, NoiseSpec(0.0, 0.0, 0)))
+        bundle = accumulate_arrays(*noisy_feature_arrays(sample, NoiseSpec(0.0, 0.0, 0)))
         with pytest.raises(SingularHessian):
             solve_update(bundle, Standard())
 
@@ -199,20 +195,21 @@ class TestInformationMatrix:
 
     def test_zero_probability_direction_has_zero_information(self):
         sample = generate_scene(SceneSpec(SceneKind.CORRIDOR, point_count=400, seed=10))
-        bundle = accumulate(apply_noise(sample, NoiseSpec(0.0, 0.0, 0)))
+        bundle = accumulate_arrays(*noisy_feature_arrays(sample, NoiseSpec(0.0, 0.0, 0)))
         sol = solve_update(bundle, Probabilistic(10.0), sigma_r=0.015)
         null = sample.null_basis[0]
         assert abs(null @ sol.information @ null) <= 1e-9
 
     def test_reports_based_scaling(self):
-        # Unit Hessian with certain directions: information = I / sigma_r^2.
-        from degen_icp.degeneracy import DirectionReport
-
-        reports = [
-            DirectionReport(np.eye(6)[k], 1.0, 0.0, 0.0, 1.0, 10.0) for k in range(6)
-        ]
-        info = information_matrix(reports, 0.015)
-        np.testing.assert_allclose(info, np.eye(6) / 0.015**2, rtol=1e-12)
+        # Fractional probabilities: the information equals
+        # (1/sigma_r^2) sum_k p_k lambda_k u_k u_k^T over the direction reports.
+        rng = np.random.default_rng(21)
+        bundle = accumulate_arrays(*random_feature_arrays(rng, 12, sigma_p=0.2, sigma_n=0.2))
+        sol = solve_update(bundle, Probabilistic(10.0), sigma_r=0.015)
+        probs = np.array([r.probability for r in sol.reports])
+        assert ((probs > 0.01) & (probs < 0.99)).any()
+        expected = sum(r.probability * r.signal * np.outer(r.direction, r.direction) for r in sol.reports)
+        np.testing.assert_allclose(sol.information, expected / 0.015**2, rtol=1e-10, atol=1e-10)
 
 
 class TestIcp:

@@ -4,16 +4,13 @@ import pytest
 from degen_icp import (
     InvalidDimensions,
     NoiseSpec,
-    PlaneFeature,
     RequiresDegenerateScene,
     SceneKind,
     SceneSpec,
-    accumulate,
-    apply_noise,
+    accumulate_arrays,
     direction_stats,
     generate_scene,
     mc_direction_stats,
-    mc_hessian_stats,
     noisy_feature_arrays,
     spurious_info_demo,
 )
@@ -86,9 +83,7 @@ class TestGenerateScene:
 class TestApplyNoise:
     def test_zero_noise_reproduces_sample(self):
         sample = generate_scene(SceneSpec(SceneKind.CORRIDOR, point_count=300, seed=10))
-        feats = apply_noise(sample, NoiseSpec(0.0, 0.0, 11))
-        pts = np.stack([f.point for f in feats])
-        nrm = np.stack([f.normal for f in feats])
+        pts, nrm, _, _, _, _ = noisy_feature_arrays(sample, NoiseSpec(0.0, 0.0, 11))
         np.testing.assert_array_equal(pts, sample.points)
         np.testing.assert_array_equal(nrm, sample.normals)
 
@@ -122,90 +117,84 @@ class TestApplyNoise:
 
     def test_feature_covariances_populated(self):
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=50, seed=20))
-        feats = apply_noise(sample, NoiseSpec(0.02, 0.01, 21))
-        f = feats[0]
-        np.testing.assert_allclose(f.point_cov, 0.02**2 * np.eye(3), atol=1e-15)
-        np.testing.assert_allclose(f.normal_cov @ f.normal, np.zeros(3), atol=1e-12)
+        _, normals, _, _, point_cov, normal_covs = noisy_feature_arrays(sample, NoiseSpec(0.02, 0.01, 21))
+        np.testing.assert_allclose(point_cov, 0.02**2 * np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(normal_covs[0] @ normals[0], np.zeros(3), atol=1e-12)
 
 
 class TestMcHessianStats:
     def test_zero_noise_is_deterministic(self):
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=100, seed=22))
-        feats = apply_noise(sample, NoiseSpec(0.0, 0.0, 0))
         u = np.zeros(6)
         u[5] = 1.0
-        mean, var = mc_hessian_stats(feats, NoiseSpec(0.0, 0.0, 23), u, 100)
+        mean, var = _mc_one(sample.points, sample.normals, 1.0, NoiseSpec(0.0, 0.0, 23), u, 100)
         h = _noise_free_hessian(sample)
         assert mean == pytest.approx(u @ h @ u, rel=1e-12)
         assert var == 0.0
 
     def test_single_feature_closed_form(self):
         sigma_n = 0.01
-        f = PlaneFeature(np.zeros(3), np.array([0, 0, 1.0]), 0.0, 1.0, np.zeros((3, 3)), np.zeros((3, 3)))
         u = np.zeros(6)
         u[3] = 1.0
-        mean, var = mc_hessian_stats([f], NoiseSpec(0.0, sigma_n, 24), u, 100_000)
+        mean, var = _mc_one(np.zeros((1, 3)), [[0, 0, 1.0]], 1.0, NoiseSpec(0.0, sigma_n, 24), u, 100_000)
         assert mean == pytest.approx(sigma_n**2, rel=0.03)
         assert var == pytest.approx(2 * sigma_n**4, rel=0.05)
 
     def test_matches_analytic_prediction(self):
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=100, seed=25))
         noise = NoiseSpec(0.01, 0.01, 26)
-        feats = apply_noise(sample, NoiseSpec(0.0, 0.0, 0))
-        bundle = accumulate(apply_noise_with_covs(sample, 0.01, 0.01))
+        bundle = _noise_free_bundle(sample, 0.01, 0.01)
         rng = np.random.default_rng(27)
         u = rng.standard_normal(6)
         u /= np.linalg.norm(u)
         mu, sigma2 = direction_stats(bundle, u)
         signal = float(u @ bundle.hessian @ u)
-        mean, var = mc_hessian_stats(feats, noise, u, 50_000)
+        mean, var = _mc_one(sample.points, sample.normals, 1.0, noise, u, 50_000)
         se = np.sqrt(var / 50_000)
         assert abs(mean - (signal + mu)) <= 3 * se
         assert abs(var - sigma2) <= 0.1 * sigma2
 
     def test_mean_error_shrinks_with_trials(self):
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=80, seed=28))
-        feats = apply_noise(sample, NoiseSpec(0.0, 0.0, 0))
-        bundle = accumulate(apply_noise_with_covs(sample, 0.01, 0.01))
+        bundle = _noise_free_bundle(sample, 0.01, 0.01)
         u = np.zeros(6)
         u[0] = 1.0
         mu, _ = direction_stats(bundle, u)
         truth = float(u @ bundle.hessian @ u) + mu
         noise = NoiseSpec(0.01, 0.01, 29)
-        small, _ = mc_hessian_stats(feats, noise, u, 1_000)
-        large, _ = mc_hessian_stats(feats, noise, u, 100_000)
+        small, _ = _mc_one(sample.points, sample.normals, 1.0, noise, u, 1_000)
+        large, _ = _mc_one(sample.points, sample.normals, 1.0, noise, u, 100_000)
         assert abs(large - truth) < abs(small - truth)
 
     def test_deterministic_and_consistent_with_multi(self):
         sample = generate_scene(SceneSpec(SceneKind.CORRIDOR, point_count=60, seed=30))
-        feats = apply_noise(sample, NoiseSpec(0.0, 0.0, 0))
         noise = NoiseSpec(0.01, 0.02, 31)
         u = np.zeros(6)
         u[4] = 1.0
-        a = mc_hessian_stats(feats, noise, u, 5_000)
-        b = mc_hessian_stats(feats, noise, u, 5_000)
+        a = _mc_one(sample.points, sample.normals, 1.0, noise, u, 5_000)
+        b = _mc_one(sample.points, sample.normals, 1.0, noise, u, 5_000)
         assert a == b
         # Multi-direction projection shares the draws; BLAS may differ in the
         # last ulp between matrix widths.
-        means, variances = mc_direction_stats(feats, noise, np.column_stack([u, np.eye(6)[0]]), 5_000)
+        means, variances = mc_direction_stats(
+            sample.points, sample.normals, 1.0, noise, np.column_stack([u, np.eye(6)[0]]), 5_000
+        )
         assert means[0] == pytest.approx(a[0], rel=1e-12)
         assert variances[0] == pytest.approx(a[1], rel=1e-12)
 
 
-def apply_noise_with_covs(sample, sigma_p, sigma_n):
+def _mc_one(points, normals, weights, noise, u, trials):
+    """mc_direction_stats for a single direction, as scalars."""
+    mean, var = mc_direction_stats(points, normals, weights, noise, np.reshape(u, (6, 1)), trials)
+    return float(mean[0]), float(var[0])
+
+
+def _noise_free_bundle(sample, sigma_p, sigma_n):
     """Noise-free features carrying the analytic noise covariances."""
-    point_cov = sigma_p**2 * np.eye(3)
-    return [
-        PlaneFeature(
-            sample.points[i],
-            sample.normals[i],
-            float(sample.offsets[i]),
-            1.0,
-            point_cov,
-            sigma_n**2 * (np.eye(3) - np.outer(sample.normals[i], sample.normals[i])),
-        )
-        for i in range(sample.points.shape[0])
-    ]
+    normal_covs = sigma_n**2 * (np.eye(3) - np.einsum("ni,nj->nij", sample.normals, sample.normals))
+    return accumulate_arrays(
+        sample.points, sample.normals, sample.offsets, 1.0, sigma_p**2 * np.eye(3), normal_covs
+    )
 
 
 class TestSpuriousInfoDemo:
