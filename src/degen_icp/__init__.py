@@ -74,6 +74,7 @@ from .simulation import (
     mc_direction_stats,
     noisy_feature_arrays,
     spurious_info_demo,
+    tangent_covariances,
 )
 
 __version__ = "0.1.0"

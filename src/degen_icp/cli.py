@@ -5,21 +5,29 @@ All commands are deterministic given (config, seed). Derived streams: the
 scene generator uses the seed itself, noise injection uses seed + 1, random
 test directions use seed + 2. Machine outputs are JSON lines or CSV with '.'
 decimals; clouds are ASCII PLY or CSV.
+
+The argparse namespace is the resolved configuration. Each command registers
+only the flags it reads, with their defaults. A --config file becomes the
+command's defaults, so a flag wins over the file and the file over the
+default; file keys the command does not read are ignored, and a --dim flag
+overrides only its own key of the file's scene.dimensions. Abbreviated flags
+are rejected. A bad setting, from a flag or the file, exits with code 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import cloud_io
 from .degeneracy import accumulate_arrays, analyze, direction_stats
-from .errors import ConfigError, DegenIcpError, NoCorrespondences
+from .errors import ConfigError, DegenIcpError, InvalidDimensions, NoCorrespondences
 from .geometry import Pose
 from .registration import (
     ConditionNumber,
@@ -27,7 +35,6 @@ from .registration import (
     IcpConfig,
     Probabilistic,
     SolutionRemap,
-    SolverMethod,
     Standard,
     extract_features,
     icp,
@@ -39,107 +46,41 @@ from .simulation import (
     generate_scene,
     mc_direction_stats,
     noisy_feature_arrays,
+    tangent_covariances,
 )
 
 _SCHEMA_VERSION = 1
-_METHOD_NAMES = ("standard", "probabilistic", "eigen-truncate", "solution-remap", "cond-number")
 _SCENE_KINDS = tuple(k.value for k in SceneKind)
-
-
-@dataclass
-class RunConfig:
-    """Resolved run parameters: defaults, then config file, then flags."""
-
-    seed: int = 0
-    method: str = "probabilistic"
-    s: float = 10.0
-    lambda_min: float = 0.1
-    kappa_max: float = 1e4
-    sigma_p: float = 0.01
-    sigma_i: float = 0.01
-    sigma_n: float = 0.01
-    sigma_n_max: float = 0.10
-    sigma_r: float = 0.015
-    k_neighbors: int = 5
-    max_iterations: int = 30
-    translation_tol: float = 1e-4
-    rotation_tol: float = 1e-4
-    max_correspondence_distance: float = 1.0
-    scene_kind: str = "room"
-    scene_dimensions: dict[str, float] = field(default_factory=dict)
-    point_count: int = 2000
-
-    def validate(self) -> None:
-        if self.method not in _METHOD_NAMES:
-            raise ConfigError(f"unknown method {self.method!r}; choose from {_METHOD_NAMES}")
-        if self.scene_kind not in _SCENE_KINDS:
-            raise ConfigError(f"unknown scene kind {self.scene_kind!r}; choose from {_SCENE_KINDS}")
-        positive = ["s", "lambda_min", "kappa_max", "sigma_n_max", "sigma_r",
-                    "max_correspondence_distance", "translation_tol", "rotation_tol"]
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
-        nonnegative = ["sigma_p", "sigma_i", "sigma_n"]
-        for name in nonnegative:
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
-        if self.k_neighbors < 3:
-            raise ConfigError(f"k_neighbors must be >= 3, got {self.k_neighbors}")
-        if self.max_iterations < 1:
-            raise ConfigError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.point_count < 6:
-            raise ConfigError(f"point_count must be >= 6, got {self.point_count}")
-
-    def solver_method(self) -> SolverMethod:
-        if self.method == "standard":
-            return Standard()
-        if self.method == "probabilistic":
-            return Probabilistic(self.s)
-        if self.method == "eigen-truncate":
-            return EigenTruncate(self.lambda_min)
-        if self.method == "solution-remap":
-            return SolutionRemap(self.lambda_min)
-        return ConditionNumber(self.kappa_max)
-
-    def icp_config(self) -> IcpConfig:
-        return IcpConfig(
-            method=self.solver_method(),
-            sigma_p=self.sigma_p,
-            sigma_i=self.sigma_i,
-            sigma_n_max=self.sigma_n_max,
-            sigma_r=self.sigma_r,
-            k_neighbors=self.k_neighbors,
-            max_iterations=self.max_iterations,
-            translation_tol=self.translation_tol,
-            rotation_tol=self.rotation_tol,
-            max_correspondence_distance=self.max_correspondence_distance,
-        )
-
-    def scene_spec(self) -> SceneSpec:
-        return SceneSpec(
-            kind=SceneKind(self.scene_kind),
-            dimensions=self.scene_dimensions or None,
-            point_count=self.point_count,
-            seed=self.seed,
-        )
-
-
-_CONFIG_GROUPS: dict[str, dict[str, str]] = {
-    "method": {"name": "method", "s": "s", "lambda_min": "lambda_min", "kappa_max": "kappa_max"},
-    "sensor": {"sigma_p": "sigma_p", "sigma_i": "sigma_i", "sigma_n_max": "sigma_n_max", "sigma_r": "sigma_r"},
-    "icp": {
-        "k_neighbors": "k_neighbors",
-        "max_iterations": "max_iterations",
-        "translation_tol": "translation_tol",
-        "rotation_tol": "rotation_tol",
-        "max_correspondence_distance": "max_correspondence_distance",
-    },
-    "scene": {"kind": "scene_kind", "dimensions": "scene_dimensions", "point_count": "point_count"},
-    "noise": {"sigma_n": "sigma_n"},
+_SOLVERS = {
+    "standard": lambda args: Standard(),
+    "probabilistic": lambda args: Probabilistic(args.s),
+    "eigen-truncate": lambda args: EigenTruncate(args.lambda_min),
+    "solution-remap": lambda args: SolutionRemap(args.lambda_min),
+    "cond-number": lambda args: ConditionNumber(args.kappa_max),
 }
 
+# Version-1 config-file keys and the namespace dest each one sets.
+_FILE_KEYS = {
+    "seed": "seed",
+    "method.name": "method", "method.s": "s", "method.lambda_min": "lambda_min",
+    "method.kappa_max": "kappa_max",
+    "sensor.sigma_p": "sigma_p", "sensor.sigma_i": "sigma_i", "sensor.sigma_n_max": "sigma_n_max",
+    "sensor.sigma_r": "sigma_r",
+    "icp.k_neighbors": "k_neighbors", "icp.max_iterations": "max_iterations",
+    "icp.translation_tol": "translation_tol", "icp.rotation_tol": "rotation_tol",
+    "icp.max_correspondence_distance": "max_correspondence_distance",
+    "scene.kind": "kind", "scene.dimensions": "dimensions", "scene.point_count": "point_count",
+    "noise.sigma_n": "sigma_n",
+}
+_POSITIVE = ("s", "lambda_min", "kappa_max", "sigma_n_max", "sigma_r", "max_correspondence_distance",
+             "translation_tol", "rotation_tol", "mean_sigmas", "var_rtol")
+_NONNEGATIVE = ("sigma_p", "sigma_i", "sigma_n")
+_AT_LEAST = {"seed": 0, "k_neighbors": 3, "max_iterations": 1, "point_count": 6, "trials": 2, "directions": 1}
 
-def _load_config_file(path: Path) -> dict:
+
+def _read_config(path: Path) -> dict:
+    """The file's settings as {"group.key": value}, after checking the
+    schema version and the key names."""
     try:
         raw = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -148,80 +89,94 @@ def _load_config_file(path: Path) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: top level must be an object")
-    body = dict(raw)
-    version = body.pop("version", None)
+    version = raw.pop("version", None)
     if version != _SCHEMA_VERSION:
         raise ConfigError(f"config {path}: unsupported version {version!r} (expected {_SCHEMA_VERSION})")
-    overrides: dict = {}
-    if "seed" in body:
-        overrides["seed"] = body.pop("seed")
-    for group_name, mapping in _CONFIG_GROUPS.items():
-        group = body.pop(group_name, {})
-        if not isinstance(group, dict):
-            raise ConfigError(f"config {path}: {group_name!r} must be an object")
-        for key, value in group.items():
-            if key not in mapping:
-                raise ConfigError(f"config {path}: unknown key {group_name}.{key}")
-            overrides[mapping[key]] = value
-    if body:
-        raise ConfigError(f"config {path}: unknown keys {sorted(body)}")
-    return overrides
+    groups = {key.partition(".")[0] for key in _FILE_KEYS if "." in key}
+    settings = {}
+    for name, value in raw.items():
+        if name not in groups:
+            settings[name] = value
+        elif isinstance(value, dict):
+            settings.update({f"{name}.{key}": item for key, item in value.items()})
+        else:
+            raise ConfigError(f"config {path}: {name!r} must be an object")
+    unknown = sorted(set(settings) - set(_FILE_KEYS))
+    if unknown:
+        raise ConfigError(f"config {path}: unknown keys {unknown}")
+    return settings
 
 
-_FLAG_FIELDS = {
-    "seed": "seed",
-    "method": "method",
-    "s": "s",
-    "lambda_min": "lambda_min",
-    "kappa_max": "kappa_max",
-    "sigma_p": "sigma_p",
-    "sigma_i": "sigma_i",
-    "sigma_n": "sigma_n",
-    "sigma_n_max": "sigma_n_max",
-    "sigma_r": "sigma_r",
-    "k_neighbors": "k_neighbors",
-    "max_iterations": "max_iterations",
-    "max_correspondence_distance": "max_correspondence_distance",
-    "kind": "scene_kind",
-    "points": "point_count",
-}
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    overrides: dict = {}
-    if getattr(args, "config", None):
-        overrides.update(_load_config_file(args.config))
-    for flag, dest in _FLAG_FIELDS.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[dest] = value
-    dims = getattr(args, "dim", None)
-    if dims:
-        parsed: dict[str, float] = {}
-        for item in dims:
-            if "=" not in item:
-                raise ConfigError(f"--dim expects key=value, got {item!r}")
-            key, _, value = item.partition("=")
-            try:
-                parsed[key.strip()] = float(value)
-            except ValueError:
-                raise ConfigError(f"--dim {item!r}: value is not a number") from None
-        overrides["scene_dimensions"] = parsed
+def _file_value(where: str, value, kind: type, choices):
+    """A config-file value checked as its flag's parser would check it."""
+    if choices is not None and value not in choices:
+        raise ConfigError(f"{where} must be one of {list(choices)}, got {value!r}")
+    if kind is list:  # scene.dimensions
+        if not (isinstance(value, dict) and all(map(_is_number, value.values()))):
+            raise ConfigError(f"{where} must be an object of numbers, got {value!r}")
+        return [(key, float(item)) for key, item in value.items()]
+    if kind is int and not (_is_number(value) and isinstance(value, int)):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if kind is float and not _is_number(value):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    return kind(value)
 
-    valid = {f.name for f in fields(RunConfig)}
-    for key, value in overrides.items():
-        if key not in valid:
-            raise ConfigError(f"unknown config field {key!r}")
-        setattr(cfg, key, value)
-    cfg.scene_dimensions = {str(k): float(v) for k, v in (cfg.scene_dimensions or {}).items()}
-    cfg.validate()
-    return cfg
+
+def _apply_config(path: Path, parser: argparse.ArgumentParser) -> None:
+    """Make the file's settings the command parser's defaults. A setting
+    without a default in that parser is one the command does not read."""
+    choices = {action.dest: action.choices for action in parser._actions}
+    defaults = {}
+    for key, value in _read_config(path).items():
+        dest = _FILE_KEYS[key]
+        default = parser.get_default(dest)
+        if default is not None:
+            defaults[dest] = _file_value(f"config {path}: {key}", value, type(default), choices.get(dest))
+    parser.set_defaults(**defaults)
+
+
+def _check(name: str, value) -> None:
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value}")
+    if name in _POSITIVE and value <= 0:
+        raise ConfigError(f"{name} must be positive, got {value}")
+    if name in _NONNEGATIVE and value < 0:
+        raise ConfigError(f"{name} must be nonnegative, got {value}")
+    if name in _AT_LEAST and value < _AT_LEAST[name]:
+        raise ConfigError(f"{name} must be >= {_AT_LEAST[name]}, got {value}")
+
+
+def _check_settings(args: argparse.Namespace) -> None:
+    """Range checks over the resolved settings, named as in the config file.
+    A sweep's --values are checked as its parameter."""
+    for name, value in vars(args).items():
+        _check(name, value)
+    for key, value in getattr(args, "dimensions", ()):
+        _check(f"dimensions.{key}", value)
+    for value in getattr(args, "values", ()):
+        _check(args.parameter.replace("-", "_"), value)
+
+
+def _icp_config(args: argparse.Namespace) -> IcpConfig:
+    """IcpConfig from the settings the command reads; the rest keep the
+    library defaults."""
+    settings = {f.name: getattr(args, f.name) for f in fields(IcpConfig) if hasattr(args, f.name)}
+    if "method" in settings:
+        settings["method"] = _SOLVERS[args.method](args)
+    return IcpConfig(**settings)
+
+
+def _scene_spec(args: argparse.Namespace) -> SceneSpec:
+    dimensions = dict(args.dimensions) or None
+    return SceneSpec(SceneKind(args.kind), dimensions, point_count=args.point_count, seed=args.seed)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
-    out = getattr(args, "out", None) or Path(".")
-    out = Path(out)
+    out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -245,8 +200,7 @@ def _print_report_table(reports) -> None:
         )
 
 
-def _scene_manifest(cfg: RunConfig, sample, noise: NoiseSpec, files: dict[str, str]) -> dict:
-    spec = cfg.scene_spec()
+def _scene_manifest(spec: SceneSpec, sample, noise: NoiseSpec, files: dict[str, str]) -> dict:
     manifest = {
         "version": _SCHEMA_VERSION,
         "kind": spec.kind.value,
@@ -268,58 +222,57 @@ def _scene_manifest(cfg: RunConfig, sample, noise: NoiseSpec, files: dict[str, s
     return manifest
 
 
-def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     out = _out_dir(args)
-    sample = generate_scene(cfg.scene_spec())
-    noise = NoiseSpec(cfg.sigma_p, cfg.sigma_n, cfg.seed + 1)
+    spec = _scene_spec(args)
+    sample = generate_scene(spec)
+    noise = NoiseSpec(args.sigma_p, args.sigma_n, args.seed + 1)
     noisy_points, noisy_normals, _, _, _, _ = noisy_feature_arrays(sample, noise)
 
-    fmt = getattr(args, "format", None) or "ply"
-    writer = cloud_io.write_ply if fmt == "ply" else cloud_io.write_csv
-    files = {"clean": f"clean.{fmt}", "noisy": f"noisy.{fmt}", "manifest": "manifest.json"}
+    writer = cloud_io.write_ply if args.format == "ply" else cloud_io.write_csv
+    files = {"clean": f"clean.{args.format}", "noisy": f"noisy.{args.format}", "manifest": "manifest.json"}
     writer(out / files["clean"], sample.points, sample.normals)
     writer(out / files["noisy"], noisy_points, noisy_normals)
-    cloud_io.write_json(out / files["manifest"], _scene_manifest(cfg, sample, noise, files))
+    cloud_io.write_json(out / files["manifest"], _scene_manifest(spec, sample, noise, files))
     print(
-        f"simulate: wrote {sample.points.shape[0]} points ({cfg.scene_kind}) to {out} "
+        f"simulate: wrote {sample.points.shape[0]} points ({args.kind}) to {out} "
         f"[null directions: {sample.null_basis.shape[0]}]"
     )
     return 0
 
 
-def _detect_reports(args: argparse.Namespace, cfg: RunConfig):
-    cloud = getattr(args, "cloud", None)
-    if cloud is not None:
-        points, _ = cloud_io.load_cloud(cloud)
+def _detect_reports(args: argparse.Namespace):
+    if args.cloud is not None:
+        points, _ = cloud_io.load_cloud(args.cloud)
     else:
-        sample = generate_scene(cfg.scene_spec())
-        rng = np.random.default_rng(cfg.seed + 1)
-        points = sample.points + cfg.sigma_p * rng.standard_normal(sample.points.shape)
-    bundle, stats = extract_features(points, points, Pose.identity(), cfg.icp_config())
-    return analyze(bundle, cfg.s), stats
+        sample = generate_scene(_scene_spec(args))
+        rng = np.random.default_rng(args.seed + 1)
+        points = sample.points + args.sigma_p * rng.standard_normal(sample.points.shape)
+    bundle, stats = extract_features(points, points, Pose.identity(), _icp_config(args))
+    return analyze(bundle, args.s), stats
 
 
-def cmd_detect(args: argparse.Namespace, cfg: RunConfig) -> int:
-    reports, stats = _detect_reports(args, cfg)
+def cmd_detect(args: argparse.Namespace) -> int:
+    reports, stats = _detect_reports(args)
     _print_report_table(reports)
     print(
         f"features: used {stats.used}/{stats.candidates} "
         f"(distance {stats.rejected_distance}, collinear {stats.rejected_collinear}, "
         f"outlier {stats.rejected_outlier})"
     )
-    if getattr(args, "out", None):
+    if args.out:
         out = _out_dir(args)
         cloud_io.write_jsonl(out / "detect.jsonl", [_report_record(k, r) for k, r in enumerate(reports)])
     return 0
 
 
-def cmd_register(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_register(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     source, _ = cloud_io.load_cloud(args.source)
     target, _ = cloud_io.load_cloud(args.target)
     init = Pose.from_matrix(cloud_io.read_pose(args.init)) if args.init else Pose.identity()
 
-    result = icp(source, target, init, cfg.icp_config())
+    result = icp(source, target, init, _icp_config(args))
 
     cloud_io.write_pose(out / "pose.txt", result.pose.matrix())
     cloud_io.write_matrix(out / "information.txt", result.information)
@@ -348,7 +301,7 @@ def cmd_register(args: argparse.Namespace, cfg: RunConfig) -> int:
             "converged": result.converged,
             "termination": result.termination,
             "iterations": len(result.iterations),
-            "method": cfg.method,
+            "method": args.method,
         },
     )
     print(
@@ -358,21 +311,15 @@ def cmd_register(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
-    sample = generate_scene(cfg.scene_spec())
-    noise = NoiseSpec(cfg.sigma_p, cfg.sigma_n, cfg.seed + 1)
+def cmd_oracle(args: argparse.Namespace) -> int:
+    sample = generate_scene(_scene_spec(args))
+    noise = NoiseSpec(args.sigma_p, args.sigma_n, args.seed + 1)
     weights = np.ones(sample.points.shape[0])
-    bundle = accumulate_arrays(
-        sample.points,
-        sample.normals,
-        sample.offsets,
-        weights,
-        cfg.sigma_p**2 * np.eye(3),
-        cfg.sigma_n**2
-        * (np.eye(3) - np.einsum("ni,nj->nij", sample.normals, sample.normals)),
-    )
+    point_cov = noise.sigma_p**2 * np.eye(3)
+    normal_covs = tangent_covariances(sample.normals, noise.sigma_n)
+    bundle = accumulate_arrays(sample.points, sample.normals, sample.offsets, weights, point_cov, normal_covs)
 
-    rng = np.random.default_rng(cfg.seed + 2)
+    rng = np.random.default_rng(args.seed + 2)
     directions = rng.standard_normal((6, args.directions))
     directions /= np.linalg.norm(directions, axis=0, keepdims=True)
     mc_means, mc_vars = mc_direction_stats(
@@ -407,22 +354,14 @@ def cmd_oracle(args: argparse.Namespace, cfg: RunConfig) -> int:
                 "variance_ok": bool(var_ok),
             }
         )
-    if getattr(args, "out", None):
+    if args.out:
         cloud_io.write_jsonl(_out_dir(args) / "oracle.jsonl", records)
     print(f"oracle: {'all checks passed' if all_ok else 'TOLERANCE EXCEEDED'}")
     return 0 if all_ok else 1
 
 
-def _parse_values(text: str) -> list[float]:
-    items = [v.strip() for v in text.split(",") if v.strip()]
-    try:
-        return [float(v) for v in items]
-    except ValueError:
-        raise ConfigError(f"--values must be comma-separated numbers, got {text!r}") from None
-
-
-def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
-    out = Path(getattr(args, "out", None) or ".")
+def cmd_sweep(args: argparse.Namespace) -> int:
+    out = Path(args.out or ".")
     if out.suffix.lower() == ".csv":
         out.parent.mkdir(parents=True, exist_ok=True)
         csv_path = out
@@ -430,27 +369,21 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
         out.mkdir(parents=True, exist_ok=True)
         csv_path = out / "sweep.csv"
 
-    values = sorted(_parse_values(args.values))
+    values = sorted(args.values)
     lines = ["value,direction,eigenvalue,probability"]
     violation = False
     if values:
-        sample = generate_scene(cfg.scene_spec())
-        base = noisy_feature_arrays(sample, NoiseSpec(cfg.sigma_p, cfg.sigma_n, cfg.seed + 1))
+        sample = generate_scene(_scene_spec(args))
+        base = noisy_feature_arrays(sample, NoiseSpec(args.sigma_p, args.sigma_n, args.seed + 1))
         points, normals, offsets, weights, point_cov, normal_covs = base
         unit = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-        tangent = np.eye(3) - np.einsum("ni,nj->nij", unit, unit)
 
         prev = None
         for value in values:
-            if args.parameter == "s":
-                bundle = accumulate_arrays(points, normals, offsets, weights, point_cov, normal_covs)
-                reports = analyze(bundle, value)
-            elif args.parameter == "sigma-n":
-                bundle = accumulate_arrays(points, normals, offsets, weights, point_cov, value**2 * tangent)
-                reports = analyze(bundle, cfg.s)
-            else:  # sigma-p
-                bundle = accumulate_arrays(points, normals, offsets, weights, value**2 * np.eye(3), normal_covs)
-                reports = analyze(bundle, cfg.s)
+            value_point_cov = value**2 * np.eye(3) if args.parameter == "sigma-p" else point_cov
+            value_normal_covs = tangent_covariances(unit, value) if args.parameter == "sigma-n" else normal_covs
+            bundle = accumulate_arrays(points, normals, offsets, weights, value_point_cov, value_normal_covs)
+            reports = analyze(bundle, value if args.parameter == "s" else args.s)
             probs = [r.probability for r in reports]
             for k, r in enumerate(reports):
                 lines.append(f"{value:.10g},{k},{r.signal:.10g},{r.probability:.10g}")
@@ -467,73 +400,96 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 1 if violation else 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="JSON config file (version 1 schema)")
-    parser.add_argument("--seed", type=int, help="master seed")
-    parser.add_argument("--method", choices=_METHOD_NAMES, help="update rule")
-    parser.add_argument("--s", type=float, help="signal-to-noise target for the probabilistic method")
-    parser.add_argument("--lambda-min", type=float, dest="lambda_min", help="eigenvalue threshold")
-    parser.add_argument("--kappa-max", type=float, dest="kappa_max", help="condition-number threshold")
-    parser.add_argument("--sigma-p", type=float, dest="sigma_p", help="point noise std (m)")
-    parser.add_argument("--sigma-i", type=float, dest="sigma_i", help="neighbor noise std for normal fits (m)")
-    parser.add_argument("--sigma-n", type=float, dest="sigma_n", help="injected normal noise std")
-    parser.add_argument("--sigma-n-max", type=float, dest="sigma_n_max", help="normal outlier threshold")
-    parser.add_argument("--sigma-r", type=float, dest="sigma_r", help="residual std for information scaling (m)")
-    parser.add_argument("--k-neighbors", type=int, dest="k_neighbors", help="neighbors per plane fit")
-    parser.add_argument("--max-iterations", type=int, dest="max_iterations")
-    parser.add_argument(
-        "--max-correspondence-distance", type=float, dest="max_correspondence_distance"
+def _dimension(text: str) -> tuple[str, float]:
+    key, _, value = text.partition("=")
+    try:
+        return key.strip(), float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects KEY=VALUE with a number, got {text!r}") from None
+
+
+def _values(text: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects comma-separated numbers, got {text!r}") from None
+
+
+def _command(sub, name: str, help: str, func) -> argparse.ArgumentParser:
+    """A command parser with the flags every command reads."""
+    p = sub.add_parser(
+        name, help=help, allow_abbrev=False, formatter_class=argparse.ArgumentDefaultsHelpFormatter
     )
-    parser.add_argument("--out", type=Path, help="output directory (or .csv path for sweep)")
+    p.add_argument("--config", type=Path, help="JSON config file (version 1 schema)")
+    p.add_argument("--out", type=Path, help="output directory (or .csv path for sweep)")
+    p.add_argument("--sigma-p", type=float, default=IcpConfig.sigma_p, help="point noise std (m)")
+    p.set_defaults(func=func, parser=p)
+    return p
 
 
-def _add_scene_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kind", choices=_SCENE_KINDS, help="scene kind")
-    parser.add_argument("--dim", action="append", metavar="KEY=VALUE", help="scene dimension override")
-    parser.add_argument("--points", type=int, help="number of sampled points")
+def _add_scene_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--seed", type=int, default=0, help="master seed")
+    p.add_argument("--kind", choices=_SCENE_KINDS, default="room", help="scene kind")
+    p.add_argument("--dim", type=_dimension, action="append", default=[], dest="dimensions",
+                   metavar="KEY=VALUE", help="scene dimension override, repeatable")
+    p.add_argument("--points", type=int, default=SceneSpec.point_count, dest="point_count",
+                   help="number of sampled points")
+
+
+def _add_feature_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--sigma-i", type=float, default=IcpConfig.sigma_i, help="plane-fit neighbor noise std (m)")
+    p.add_argument("--sigma-n-max", type=float, default=IcpConfig.sigma_n_max, help="normal outlier threshold")
+    p.add_argument("--k-neighbors", type=int, default=IcpConfig.k_neighbors, help="neighbors per plane fit")
+    p.add_argument("--max-correspondence-distance", type=float, default=IcpConfig.max_correspondence_distance,
+                   help="correspondence gate (m)")
+    p.add_argument("--s", type=float, default=Probabilistic.s, help="signal-to-noise target")
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="degen-icp",
         description="Degeneracy-aware point-to-plane registration toolkit",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sigma_n = dict(type=float, default=0.01, help="injected normal noise std")
 
-    p = sub.add_parser("simulate", help="generate a synthetic scene and noisy cloud")
-    _add_common_flags(p)
+    p = _command(sub, "simulate", "generate a synthetic scene and noisy cloud", cmd_simulate)
     _add_scene_flags(p)
-    p.add_argument("--format", choices=("ply", "csv"), help="cloud format (default ply)")
-    p.set_defaults(func=cmd_simulate)
+    p.add_argument("--sigma-n", **sigma_n)
+    p.add_argument("--format", choices=("ply", "csv"), default="ply", help="cloud format")
 
-    p = sub.add_parser("detect", help="degeneracy report for a scene or cloud")
-    _add_common_flags(p)
+    p = _command(sub, "detect", "degeneracy report for a scene or cloud", cmd_detect)
     _add_scene_flags(p)
+    _add_feature_flags(p)
     p.add_argument("--cloud", type=Path, help="analyze this cloud instead of a generated scene")
-    p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("register", help="register a source cloud onto a target cloud")
-    _add_common_flags(p)
-    p.add_argument("--source", type=Path, required=True)
-    p.add_argument("--target", type=Path, required=True)
+    p = _command(sub, "register", "register a source cloud onto a target cloud", cmd_register)
+    _add_feature_flags(p)
+    p.add_argument("--method", choices=tuple(_SOLVERS), default="probabilistic", help="update rule")
+    p.add_argument("--lambda-min", type=float, default=0.1, help="eigenvalue threshold")
+    p.add_argument("--kappa-max", type=float, default=1e4, help="condition-number threshold")
+    p.add_argument("--sigma-r", type=float, default=IcpConfig.sigma_r, help="residual std (m)")
+    p.add_argument("--max-iterations", type=int, default=IcpConfig.max_iterations, help="iteration limit")
+    p.add_argument("--source", type=Path, required=True, help="cloud to move")
+    p.add_argument("--target", type=Path, required=True, help="cloud to register onto")
     p.add_argument("--init", type=Path, help="initial pose file (16 numbers, row-major)")
-    p.set_defaults(func=cmd_register)
+    p.set_defaults(translation_tol=IcpConfig.translation_tol, rotation_tol=IcpConfig.rotation_tol)  # file only
 
-    p = sub.add_parser("oracle", help="analytic vs Monte Carlo noise statistics")
-    _add_common_flags(p)
+    p = _command(sub, "oracle", "analytic vs Monte Carlo noise statistics", cmd_oracle)
     _add_scene_flags(p)
-    p.add_argument("--trials", type=int, default=20000)
-    p.add_argument("--directions", type=int, default=4)
-    p.add_argument("--mean-sigmas", type=float, default=3.0, dest="mean_sigmas")
-    p.add_argument("--var-rtol", type=float, default=0.1, dest="var_rtol")
-    p.set_defaults(func=cmd_oracle)
+    p.add_argument("--sigma-n", **sigma_n)
+    p.add_argument("--trials", type=int, default=20000, help="Monte Carlo draws")
+    p.add_argument("--directions", type=int, default=4, help="random unit directions checked")
+    p.add_argument("--mean-sigmas", type=float, default=3.0, help="mean tolerance in standard errors")
+    p.add_argument("--var-rtol", type=float, default=0.1, help="relative variance tolerance")
 
-    p = sub.add_parser("sweep", help="probability curves over a parameter range")
-    _add_common_flags(p)
+    p = _command(sub, "sweep", "probability curves over a parameter range", cmd_sweep)
     _add_scene_flags(p)
-    p.add_argument("--parameter", choices=("s", "sigma-n", "sigma-p"), required=True)
-    p.add_argument("--values", required=True, help="comma-separated values (empty for header-only CSV)")
-    p.set_defaults(func=cmd_sweep)
+    p.add_argument("--sigma-n", **sigma_n)
+    p.add_argument("--s", type=float, default=Probabilistic.s, help="signal-to-noise target")
+    p.add_argument("--parameter", choices=("s", "sigma-n", "sigma-p"), required=True, help="swept setting")
+    p.add_argument("--values", type=_values, required=True, help="comma-separated, empty for a header-only CSV")
 
     return parser
 
@@ -542,9 +498,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        return int(args.func(args, cfg))
-    except ConfigError as exc:
+        if args.config is not None:
+            _apply_config(args.config, args.parser)
+            args = parser.parse_args(argv)
+        _check_settings(args)
+        return int(args.func(args))
+    except (ConfigError, InvalidDimensions) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NoCorrespondences as exc:

@@ -18,6 +18,7 @@ __all__ = [
     "read_ply",
     "write_csv",
     "read_csv",
+    "load_cloud",
     "write_pose",
     "read_pose",
     "write_matrix",
@@ -78,6 +79,7 @@ def read_ply(path) -> tuple[Array, Array | None]:
         raise ValueError(f"{path}: not a PLY file")
     props: list[str] = []
     count = None
+    element = None
     body_start = None
     for i, line in enumerate(text[1:], start=1):
         tok = line.split()
@@ -87,10 +89,14 @@ def read_ply(path) -> tuple[Array, Array | None]:
             if tok[1] != "ascii":
                 raise ValueError(f"{path}: only ASCII PLY is supported")
         elif tok[0] == "element":
-            if tok[1] != "vertex":
-                raise ValueError(f"{path}: unsupported element {tok[1]!r}")
-            count = int(tok[2])
-        elif tok[0] == "property":
+            # Rows of elements after vertex (faces, edges) follow the
+            # vertex rows and are never read.
+            element = tok[1]
+            if element == "vertex":
+                count = int(tok[2])
+            elif count is None:
+                raise ValueError(f"{path}: unsupported element {element!r} before vertex")
+        elif tok[0] == "property" and element == "vertex":
             props.append(tok[2])
         elif tok[0] == "end_header":
             body_start = i + 1

@@ -34,6 +34,7 @@ __all__ = [
     "SpuriousInfoReport",
     "generate_scene",
     "noisy_feature_arrays",
+    "tangent_covariances",
     "mc_direction_stats",
     "spurious_info_demo",
 ]
@@ -80,7 +81,9 @@ class SceneSpec:
         if self.dimensions:
             unknown = set(self.dimensions) - set(defaults)
             if unknown:
-                raise InvalidDimensions(f"unknown dimensions for {self.kind}: {sorted(unknown)}")
+                raise InvalidDimensions(
+                    f"unknown dimensions for {SceneKind(self.kind).value}: {sorted(unknown)}"
+                )
             defaults.update({k: float(v) for k, v in self.dimensions.items()})
         if any(v <= 0.0 for v in defaults.values()):
             raise InvalidDimensions(f"dimensions must be positive, got {defaults}")
@@ -259,6 +262,12 @@ def _perturb_normals(normals: Array, eta: Array, normal_model: str) -> Array:
     raise ValueError(f"unknown normal_model {normal_model!r}")
 
 
+def tangent_covariances(normals: Array, sigma_n: float) -> Array:
+    """Covariances sigma_n^2 (I - n n^T), shape (N, 3, 3), of isotropic
+    tangent-plane noise on each normal row n, taken as given (not normalized)."""
+    return sigma_n**2 * (np.eye(3) - np.einsum("ni,nj->nij", normals, normals))
+
+
 def noisy_feature_arrays(
     sample: SceneSample, noise: NoiseSpec, normal_model: str = "rotation"
 ) -> tuple[Array, Array, Array, Array, Array, Array]:
@@ -277,8 +286,7 @@ def noisy_feature_arrays(
 
     points = sample.points + eps
     normals = _perturb_normals(sample.normals, eta, normal_model)
-    unit = normals / np.linalg.norm(normals, axis=1, keepdims=True)
-    normal_covs = noise.sigma_n**2 * (np.eye(3) - np.einsum("ni,nj->nij", unit, unit))
+    normal_covs = tangent_covariances(normals / np.linalg.norm(normals, axis=1, keepdims=True), noise.sigma_n)
     point_cov = noise.sigma_p**2 * np.eye(3)
     weights = np.ones(n_pts)
     return points, normals, sample.offsets.copy(), weights, point_cov, normal_covs
@@ -442,8 +450,7 @@ def spurious_info_demo(
         coeffs = sigma_n * rng.standard_normal((n_feat, 2))
         eta = coeffs[:, 0:1] * t1 + coeffs[:, 1:2] * t2
         n_hat = _perturb_normals(normals, eta, "small-angle")
-        unit = n_hat / np.linalg.norm(n_hat, axis=1, keepdims=True)
-        normal_covs = sigma_n**2 * (np.eye(3) - np.einsum("ni,nj->nij", unit, unit))
+        normal_covs = tangent_covariances(n_hat / np.linalg.norm(n_hat, axis=1, keepdims=True), sigma_n)
         bundle = accumulate_arrays(points, n_hat, offsets, weights, point_cov, normal_covs)
         x_std = np.linalg.solve(bundle.hessian + ridge * np.eye(6), bundle.rhs)
         x_prob = solve_update(bundle, Probabilistic(s)).twist.vector()

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import degen_icp
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(degen_icp.__path__))
+LISTING = [name for name in MODULES if hasattr(importlib.import_module(f"degen_icp.{name}"), "__all__")]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -13,3 +15,17 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"degen_icp.{name}")
     missing = [attr for attr in getattr(module, "__all__", []) if not hasattr(module, attr)]
     assert not missing, f"degen_icp.{name}.__all__ lists undefined names {missing}"
+
+
+@pytest.mark.parametrize("name", LISTING)
+def test_public_definitions_listed(name):
+    module = importlib.import_module(f"degen_icp.{name}")
+    unlisted = [
+        attr
+        for attr, obj in vars(module).items()
+        if not attr.startswith("_")
+        and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == module.__name__
+        and attr not in module.__all__
+    ]
+    assert not unlisted, f"degen_icp.{name} defines public names missing from __all__: {unlisted}"

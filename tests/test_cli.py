@@ -1,11 +1,14 @@
+import argparse
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from degen_icp import cloud_io
+from degen_icp import cli, cloud_io
 from degen_icp.cli import main
 
 
@@ -259,6 +262,105 @@ class TestConfigAndErrors:
         assert _run("detect", "--cloud", path) == 1
         err = capsys.readouterr().err
         assert f"bad.{fmt}" in err and "non-finite" in err
+
+
+    @pytest.mark.parametrize(
+        "body, key",
+        [
+            ({"sensor": {"sigma_p": "abc"}}, "sensor.sigma_p"),
+            ({"sensor": {"sigma_p": True}}, "sensor.sigma_p"),
+            ({"seed": "x"}, "seed"),
+            ({"scene": {"dimensions": [1, 2]}}, "scene.dimensions"),
+            ({"icp": {"k_neighbors": 5.5}}, "icp.k_neighbors"),
+            ({"scene": {"point_count": 300.7}}, "scene.point_count"),
+        ],
+    )
+    def test_config_value_types(self, tmp_path, capsys, body, key):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps({"version": 1, **body}))
+        assert _run("detect", "--config", path, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "typed.json" in err and key in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
+    def test_dim_flag_overrides_only_its_key(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"version": 1, "scene": {"dimensions": {"width": 5.0, "depth": 4.0}}}))
+        assert _run("simulate", "--config", path, "--dim", "width=6", "--points", 300, "--out", tmp_path) == 0
+        dims = json.loads((tmp_path / "manifest.json").read_text())["dimensions"]
+        assert dims == {"width": 6.0, "depth": 4.0, "height": 2.5}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("detect", "--sigma-n", "0.1"),
+            ("simulate", "--method", "standard"),
+            ("simulate", "--poin", "300"),
+            ("simulate", "--dim", "width"),
+        ],
+    )
+    def test_parser_rejects(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            _run(*argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("sweep", "--parameter", "s", "--values=-1,2"), "s must be positive"),
+            (("sweep", "--parameter", "s", "--values", "nan,2"), "s must be finite"),
+            (("sweep", "--parameter", "sigma-n", "--values=-0.1"), "sigma_n must be nonnegative"),
+            (("sweep", "--parameter", "s", "--values", "1", "--sigma-p", "inf"), "sigma_p must be finite"),
+            (("oracle", "--directions", "0"), "directions must be >= 1"),
+            (("oracle", "--trials", "1"), "trials must be >= 2"),
+            (("simulate", "--dim", "width=-1"), "dimensions must be positive"),
+            (("simulate", "--dim", "radius=1"), "unknown dimensions for room:"),
+        ],
+    )
+    def test_bad_settings_exit_2(self, tmp_path, capsys, argv, message):
+        assert _run(*argv, "--out", tmp_path / "o.csv") == 2
+        assert message in capsys.readouterr().err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+COMMAND_FLAGS = {
+    "simulate": "--sigma-p --seed --kind --dim --points --sigma-n --format",
+    "detect": "--sigma-p --seed --kind --dim --points --sigma-i --sigma-n-max --k-neighbors "
+    "--max-correspondence-distance --s --cloud",
+    "register": "--sigma-p --sigma-i --sigma-n-max --k-neighbors --max-correspondence-distance --s "
+    "--method --lambda-min --kappa-max --sigma-r --max-iterations --source --target --init",
+    "oracle": "--sigma-p --seed --kind --dim --points --sigma-n --trials --directions --mean-sigmas --var-rtol",
+    "sweep": "--sigma-p --seed --kind --dim --points --sigma-n --s --parameter --values",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_command_reads_only_its_flags(command):
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parser = commands.choices[command]
+    options = {opt for action in parser._actions for opt in action.option_strings} - {"-h", "--help"}
+    assert options == set(COMMAND_FLAGS[command].split()) | {"--config", "--out"}
+
+
+def test_readme_config_schema_runs(tmp_path):
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    schema = next(json.loads(b) for b in blocks if '"version": 1' in b)
+    path = tmp_path / "readme.json"
+    path.write_text(json.dumps(schema))
+    assert _run("simulate", "--config", path, "--out", tmp_path / "sim") == 0
+    manifest = json.loads((tmp_path / "sim" / "manifest.json").read_text())
+    assert manifest["kind"] == schema["scene"]["kind"]
+    assert manifest["point_count"] == schema["scene"]["point_count"]
+    assert manifest["dimensions"] == schema["scene"]["dimensions"]
+    assert manifest["noise"]["sigma_p"] == schema["sensor"]["sigma_p"]
+    assert manifest["noise"]["sigma_n"] == schema["noise"]["sigma_n"]
+    out = tmp_path / "reg"
+    assert _run(
+        "register", "--config", path, "--source", tmp_path / "sim" / "clean.ply",
+        "--target", tmp_path / "sim" / "clean.ply", "--out", out,
+    ) == 0
+    assert json.loads((out / "summary.json").read_text())["method"] == schema["method"]["name"]
 
 
 def test_console_entry_point():

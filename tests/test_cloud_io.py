@@ -49,6 +49,15 @@ class TestPly:
         with pytest.raises(ValueError, match="neg.ply: malformed PLY header"):
             cloud_io.read_ply(path)
 
+    def test_ignores_elements_after_vertex(self, tmp_path):
+        path = tmp_path / "mesh.ply"
+        header = "ply\nformat ascii 1.0\nelement vertex 3\n" + "".join(f"property double {c}\n" for c in "xyz")
+        header += "element face 0\nproperty list uchar int vertex_indices\n"
+        path.write_text(header + "end_header\n0 0 0\n1 0 0\n0 1 0\n")
+        points, normals = cloud_io.read_ply(path)
+        np.testing.assert_array_equal(points, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        assert normals is None
+
 
 class TestCsv:
     def test_round_trip(self, cloud):
