@@ -15,7 +15,6 @@ from .degeneracy import (
 )
 from .errors import (
     ConfigError,
-    DegenerateNeighborhood,
     DegenIcpError,
     EmptyFeatureSet,
     InvalidDimensions,
@@ -36,16 +35,7 @@ from .geometry import (
     skew,
     skew_batch,
 )
-from .normals import (
-    NormalCovariance,
-    PlaneFit,
-    fit_plane,
-    fit_planes,
-    is_outlier,
-    normal_covariance,
-    normal_covariances,
-    normal_vector_cov,
-)
+from .normals import fit_planes, normal_covariances
 from .registration import (
     ConditionNumber,
     EigenTruncate,

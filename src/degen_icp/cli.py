@@ -135,19 +135,23 @@ def _apply_config(path: Path, parser: argparse.ArgumentParser) -> None:
         dest = _FILE_KEYS[key]
         default = parser.get_default(dest)
         if default is not None:
-            defaults[dest] = _file_value(f"config {path}: {key}", value, type(default), choices.get(dest))
+            where = f"config {path}: {key}"
+            defaults[dest] = _file_value(where, value, type(default), choices.get(dest))
+            _check(dest, defaults[dest], where)
     parser.set_defaults(**defaults)
 
 
-def _check(name: str, value) -> None:
+def _check(name: str, value, where: str | None = None) -> None:
+    """Range check of setting `name`, reported as `where` (default: name)."""
+    where = where or name
     if isinstance(value, float) and not math.isfinite(value):
-        raise ConfigError(f"{name} must be finite, got {value}")
+        raise ConfigError(f"{where} must be finite, got {value}")
     if name in _POSITIVE and value <= 0:
-        raise ConfigError(f"{name} must be positive, got {value}")
+        raise ConfigError(f"{where} must be positive, got {value}")
     if name in _NONNEGATIVE and value < 0:
-        raise ConfigError(f"{name} must be nonnegative, got {value}")
+        raise ConfigError(f"{where} must be nonnegative, got {value}")
     if name in _AT_LEAST and value < _AT_LEAST[name]:
-        raise ConfigError(f"{name} must be >= {_AT_LEAST[name]}, got {value}")
+        raise ConfigError(f"{where} must be >= {_AT_LEAST[name]}, got {value}")
 
 
 def _check_settings(args: argparse.Namespace) -> None:
@@ -223,12 +227,12 @@ def _scene_manifest(spec: SceneSpec, sample, noise: NoiseSpec, files: dict[str, 
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     spec = _scene_spec(args)
     sample = generate_scene(spec)
     noise = NoiseSpec(args.sigma_p, args.sigma_n, args.seed + 1)
     noisy_points, noisy_normals, _, _, _, _ = noisy_feature_arrays(sample, noise)
 
+    out = _out_dir(args)
     writer = cloud_io.write_ply if args.format == "ply" else cloud_io.write_csv
     files = {"clean": f"clean.{args.format}", "noisy": f"noisy.{args.format}", "manifest": "manifest.json"}
     writer(out / files["clean"], sample.points, sample.normals)
@@ -267,13 +271,13 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_register(args: argparse.Namespace) -> int:
-    out = _out_dir(args)
     source, _ = cloud_io.load_cloud(args.source)
     target, _ = cloud_io.load_cloud(args.target)
     init = Pose.from_matrix(cloud_io.read_pose(args.init)) if args.init else Pose.identity()
 
     result = icp(source, target, init, _icp_config(args))
 
+    out = _out_dir(args)
     cloud_io.write_pose(out / "pose.txt", result.pose.matrix())
     cloud_io.write_matrix(out / "information.txt", result.information)
     records = []
@@ -361,14 +365,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    out = Path(args.out or ".")
-    if out.suffix.lower() == ".csv":
-        out.parent.mkdir(parents=True, exist_ok=True)
-        csv_path = out
-    else:
-        out.mkdir(parents=True, exist_ok=True)
-        csv_path = out / "sweep.csv"
-
     values = sorted(args.values)
     lines = ["value,direction,eigenvalue,probability"]
     violation = False
@@ -392,6 +388,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     violation = True
             prev = probs
 
+    out = Path(args.out or ".")
+    csv_path = out if out.suffix.lower() == ".csv" else out / "sweep.csv"
+    csv_path.parent.mkdir(parents=True, exist_ok=True)
     csv_path.write_text("\n".join(lines) + "\n")
     if args.parameter == "s":
         print(f"sweep: monotonicity in s {'VIOLATED' if violation else 'ok'}; wrote {csv_path}")

@@ -72,7 +72,9 @@ def write_ply(path, points, normals=None) -> None:
 def read_ply(path) -> tuple[Array, Array | None]:
     """Read an ASCII PLY written by write_ply (or compatible).
 
-    Returns (points, normals or None).
+    Vertex columns are picked by name: x y z, and nx ny nz when all three
+    are present; other vertex properties are read and ignored. Returns
+    (points, normals or None).
     """
     text = Path(path).read_text().splitlines()
     if not text or text[0].strip() != "ply":
@@ -85,6 +87,9 @@ def read_ply(path) -> tuple[Array, Array | None]:
         tok = line.split()
         if not tok:
             continue
+        malformed = ValueError(f"{path}: malformed PLY header line {line.strip()!r}")
+        if tok[0] in ("format", "element", "property") and len(tok) < 3:
+            raise malformed
         if tok[0] == "format":
             if tok[1] != "ascii":
                 raise ValueError(f"{path}: only ASCII PLY is supported")
@@ -93,7 +98,10 @@ def read_ply(path) -> tuple[Array, Array | None]:
             # vertex rows and are never read.
             element = tok[1]
             if element == "vertex":
-                count = int(tok[2])
+                try:
+                    count = int(tok[2])
+                except ValueError:
+                    raise malformed from None
             elif count is None:
                 raise ValueError(f"{path}: unsupported element {element!r} before vertex")
         elif tok[0] == "property" and element == "vertex":
@@ -103,15 +111,15 @@ def read_ply(path) -> tuple[Array, Array | None]:
             break
     if count is None or count < 0 or body_start is None:
         raise ValueError(f"{path}: malformed PLY header")
-    expected = ["x", "y", "z"]
-    has_normals = props[:6] == expected + ["nx", "ny", "nz"]
-    if props[:3] != expected or (len(props) > 3 and not has_normals):
-        raise ValueError(f"{path}: unsupported property layout {props}")
+    if not {"x", "y", "z"} <= set(props):
+        raise ValueError(f"{path}: vertex properties {props} lack one of x, y, z")
     if len(text) - body_start < count:
         raise ValueError(f"{path}: truncated, {len(text) - body_start} of {count} vertex rows present")
     data = _parse_rows(path, text[body_start:body_start + count], None, len(props))
-    normals = data[:, 3:6] if has_normals else None
-    return _finite_points(path, data), normals
+    points = data[:, [props.index(c) for c in ("x", "y", "z")]]
+    normal_cols = ("nx", "ny", "nz")
+    normals = data[:, [props.index(c) for c in normal_cols]] if set(normal_cols) <= set(props) else None
+    return _finite_points(path, points), normals
 
 
 def write_csv(path, points, normals=None) -> None:
@@ -156,7 +164,10 @@ def write_pose(path, matrix) -> None:
 
 
 def read_pose(path) -> Array:
-    vals = [float(v) for v in Path(path).read_text().split()]
+    try:
+        vals = [float(v) for v in Path(path).read_text().split()]
+    except ValueError as exc:
+        raise ValueError(f"{path}: malformed pose ({exc})") from None
     if len(vals) != 16:
         raise ValueError(f"{path}: expected 16 numbers, got {len(vals)}")
     return np.asarray(vals, dtype=np.float64).reshape(4, 4)

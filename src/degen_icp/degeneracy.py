@@ -127,21 +127,28 @@ def accumulate_arrays(points, normals, offsets, weights, point_covs, normal_covs
     return HessianBundle(hessian, rhs, 0.5 * (sigma_total + sigma_total.T), vectors, covariances)
 
 
-def direction_stats(bundle: HessianBundle, u) -> tuple[float, float]:
-    """Mean and variance of the Hessian noise in unit direction u.
+def _direction_moments(bundle: HessianBundle, dirs: Array) -> tuple[Array, Array]:
+    """Mean and variance of the Hessian noise in each direction column u of
+    dirs (6, D).
 
     The mean is u^T Sigma u over the total noise covariance; the variance
     sums, per feature, 2*(u^T S_i u)^2 + 4*(u^T S_i u)*(u^T v_i)^2.
     """
+    mu = np.einsum("ij,ik,jk->k", bundle.sigma_total, dirs, dirs)
+    np.clip(mu, 0.0, None, out=mu)
+    t = np.einsum("nij,ik,jk->nk", bundle.covariances, dirs, dirs)
+    np.clip(t, 0.0, None, out=t)
+    dv = bundle.vectors @ dirs
+    return mu, np.sum(2.0 * t * t + 4.0 * t * dv * dv, axis=0)
+
+
+def direction_stats(bundle: HessianBundle, u) -> tuple[float, float]:
+    """Mean and variance of the Hessian noise in unit direction u."""
     u = np.asarray(u, dtype=np.float64).reshape(6)
     if abs(float(np.linalg.norm(u)) - 1.0) > _UNIT_TOL:
         raise NotUnitLength("direction must be a unit 6-vector")
-    mu = float(max(u @ bundle.sigma_total @ u, 0.0))
-    t = np.einsum("nij,i,j->n", bundle.covariances, u, u)
-    np.clip(t, 0.0, None, out=t)
-    dv = bundle.vectors @ u
-    sigma2 = float(np.sum(2.0 * t * t + 4.0 * t * dv * dv))
-    return mu, sigma2
+    mu, sigma2 = _direction_moments(bundle, u[:, None])
+    return float(mu[0]), float(sigma2[0])
 
 
 def gaussian_cdf(x: float) -> float:
@@ -178,12 +185,7 @@ def _eigh_descending(h: Array) -> tuple[Array, Array]:
 
 def _direction_reports(bundle: HessianBundle, vals: Array, vecs: Array, s: float) -> list[DirectionReport]:
     """Reports for an orthonormal basis given as columns of vecs."""
-    mu = np.einsum("ij,ik,jk->k", bundle.sigma_total, vecs, vecs)
-    np.clip(mu, 0.0, None, out=mu)
-    t = np.einsum("nij,ik,jk->nk", bundle.covariances, vecs, vecs)
-    np.clip(t, 0.0, None, out=t)
-    dv = bundle.vectors @ vecs
-    sigma2 = np.sum(2.0 * t * t + 4.0 * t * dv * dv, axis=0)
+    mu, sigma2 = _direction_moments(bundle, vecs)
     signal = np.clip(vals, 0.0, None)
 
     reports = []

@@ -9,10 +9,6 @@ class TooFewPoints(DegenIcpError):
     """A plane fit was requested with fewer than three points."""
 
 
-class DegenerateNeighborhood(DegenIcpError):
-    """Neighborhood points are (near-)collinear; no plane is defined."""
-
-
 class EmptyFeatureSet(DegenIcpError):
     """An operation that needs at least one feature received none."""
 

@@ -69,11 +69,6 @@ class Pose:
         p = np.asarray(points, dtype=np.float64)
         return p @ self.rotation.T + self.translation
 
-    def rotate(self, vectors) -> Array:
-        """Rotate a vector (3,) or a batch (N, 3) without translating."""
-        v = np.asarray(vectors, dtype=np.float64)
-        return v @ self.rotation.T
-
 
 @dataclass(frozen=True)
 class Twist:

@@ -23,7 +23,6 @@ from numpy.typing import NDArray
 
 from .degeneracy import accumulate_arrays
 from .errors import InvalidDimensions, RequiresDegenerateScene
-from .geometry import skew_batch
 from .registration import Probabilistic, solve_update
 
 __all__ = [
@@ -128,7 +127,6 @@ class SpuriousInfoReport:
 
     hessian_mean_rel_error: float
     noise_hessian: Array                 # (6, 6) predicted spurious information
-    predicted_bias: Array                # (6,) least-norm bias solution
     null_basis: Array                    # (K, 6)
     standard_null_mean_abs: Array        # (K,)
     probabilistic_null_mean_abs: Array   # (K,)
@@ -247,21 +245,6 @@ def _tangent_basis(normals: Array) -> tuple[Array, Array]:
     return t1, np.cross(normals, t1)
 
 
-def _perturb_normals(normals: Array, eta: Array, normal_model: str) -> Array:
-    """Apply tangent rotational noise eta to unit normals.
-
-    "rotation" applies the exact rotation (the result stays unit length);
-    "small-angle" uses the first-order form n + cross(n, eta), whose norm
-    deviates from 1 at second order in the noise.
-    """
-    if normal_model == "small-angle":
-        return normals + np.cross(normals, eta)
-    if normal_model == "rotation":
-        theta = np.linalg.norm(eta, axis=-1, keepdims=True)
-        return np.cos(theta) * normals + np.sinc(theta / np.pi) * np.cross(normals, eta)
-    raise ValueError(f"unknown normal_model {normal_model!r}")
-
-
 def tangent_covariances(normals: Array, sigma_n: float) -> Array:
     """Covariances sigma_n^2 (I - n n^T), shape (N, 3, 3), of isotropic
     tangent-plane noise on each normal row n, taken as given (not normalized)."""
@@ -269,13 +252,15 @@ def tangent_covariances(normals: Array, sigma_n: float) -> Array:
 
 
 def noisy_feature_arrays(
-    sample: SceneSample, noise: NoiseSpec, normal_model: str = "rotation"
+    sample: SceneSample, noise: NoiseSpec
 ) -> tuple[Array, Array, Array, Array, Array, Array]:
     """Draw one noise realization as plain arrays.
 
     Returns (points, normals, offsets, weights, point_cov, normal_covs) ready
-    for accumulate_arrays. Deterministic and bit-stable for a given seed:
-    a single stream draws point noise first, then tangent coefficients.
+    for accumulate_arrays. Normals are turned by the exact rotation of their
+    tangent noise eta, so they stay unit length. Deterministic and bit-stable
+    for a given seed: a single stream draws point noise first, then tangent
+    coefficients.
     """
     rng = np.random.default_rng(noise.seed)
     n_pts = sample.points.shape[0]
@@ -285,7 +270,8 @@ def noisy_feature_arrays(
     eta = coeffs[:, 0:1] * t1 + coeffs[:, 1:2] * t2
 
     points = sample.points + eps
-    normals = _perturb_normals(sample.normals, eta, normal_model)
+    theta = np.linalg.norm(eta, axis=-1, keepdims=True)
+    normals = np.cos(theta) * sample.normals + np.sinc(theta / np.pi) * np.cross(sample.normals, eta)
     normal_covs = tangent_covariances(normals / np.linalg.norm(normals, axis=1, keepdims=True), noise.sigma_n)
     point_cov = noise.sigma_p**2 * np.eye(3)
     weights = np.ones(n_pts)
@@ -298,7 +284,7 @@ def _chunk_rows(n_features: int) -> int:
 
 def _noisy_vectors(rng, points, normals, weights, t1, t2, sigma_p, sigma_n, rows) -> Array:
     """One chunk of noisy feature vectors, shape (rows, N, 6), under the
-    small-angle normal model of the closed-form statistics.
+    small-angle normal model n + cross(n, eta) of the closed-form statistics.
 
     Draw order per chunk: point noise first, then tangent coefficients.
     """
@@ -307,7 +293,7 @@ def _noisy_vectors(rng, points, normals, weights, t1, t2, sigma_p, sigma_n, rows
     coeffs = sigma_n * rng.standard_normal((rows, n_feat, 2))
     eta = coeffs[..., 0:1] * t1 + coeffs[..., 1:2] * t2
     p_hat = points + eps
-    n_hat = _perturb_normals(normals, eta, "small-angle")
+    n_hat = normals + np.cross(normals, eta)
     return weights[:, None] * np.concatenate([np.cross(p_hat, n_hat), n_hat], axis=-1)
 
 
@@ -367,19 +353,6 @@ def mc_direction_stats(
     return mean, m2 / (count - 1)
 
 
-def _nearest_on_plane_points(sample: SceneSample, anchors: Array) -> Array:
-    """For each feature i, the generated point on plane i nearest anchors[i].
-
-    Generated samples lie exactly on their planes, so this returns the point
-    itself whenever the anchor is the perpendicular foot of an on-plane point.
-    """
-    res = np.abs(sample.normals @ sample.points.T - sample.offsets[:, None])  # (N, N)
-    on_plane = res <= 1e-9
-    d2 = np.sum((anchors[:, None, :] - sample.points[None, :, :]) ** 2, axis=2)
-    d2 = np.where(on_plane, d2, np.inf)
-    return sample.points[np.argmin(d2, axis=1)]
-
-
 def spurious_info_demo(
     sample: SceneSample,
     sigma_n: float,
@@ -394,26 +367,21 @@ def spurious_info_demo(
 
     With unit weights, zero point noise and isotropic tangent noise sigma_n
     on the normals, the expected noisy Hessian is H + H_N with
-    H_N = sigma_n^2 * sum_i F_i (I - n n^T) F_i^T, F_i = [skew(p_i); I] w_i.
+    H_N = sigma_n^2 * sum_i F_i (I - n n^T) F_i^T, F_i = [skew(p_i); I] w_i,
+    the sigma_total of the noise-free features.
     The demo checks that identity by Monte Carlo over `trials` draws, then
     compares, over min(trials, solve_trials) paired draws, the mean absolute
     null-direction component of a ridge-regularized standard solve against
-    the probabilistic solve. The report also carries the least-norm bias
-    solution of the spurious system (zero for exactly on-plane samples).
+    the probabilistic solve.
     """
     if sample.null_basis.shape[0] == 0:
         raise RequiresDegenerateScene("the scene has no degenerate direction")
     points, normals, offsets = sample.points, sample.normals, sample.offsets
     n_feat = points.shape[0]
     weights = np.ones(n_feat)
-
-    v = np.concatenate([np.cross(points, normals), normals], axis=1)
-    hessian = v.T @ v
-    f_mat = np.zeros((n_feat, 6, 3))
-    f_mat[:, :3, :] = skew_batch(points)
-    f_mat[:, 3:, :] = np.eye(3)
-    proj = np.eye(3) - np.einsum("ni,nj->nij", normals, normals)
-    h_noise = sigma_n**2 * np.einsum("nij,njk,nlk->il", f_mat, proj, f_mat)
+    point_cov = np.zeros((3, 3))
+    clean = accumulate_arrays(points, normals, offsets, weights, point_cov, tangent_covariances(normals, sigma_n))
+    hessian, h_noise = clean.hessian, clean.sigma_total
 
     root = np.random.SeedSequence(seed)
     ss_mean, ss_solve = root.spawn(2)
@@ -430,13 +398,6 @@ def spurious_info_demo(
         denom = max(np.linalg.norm(hessian), np.finfo(float).tiny)
     rel_err = float(np.linalg.norm(mean_h - (hessian + h_noise)) / denom)
 
-    # Least-norm bias of the spurious system; the on-plane anchor makes the
-    # right-hand side vanish for generated samples.
-    foot = points - (np.einsum("ni,ni->n", normals, points) - offsets)[:, None] * normals
-    q = _nearest_on_plane_points(sample, foot)
-    rhs_noise = sigma_n**2 * np.einsum("nij,njk,nk->i", f_mat, proj, q - points)
-    predicted_bias = np.linalg.lstsq(h_noise, rhs_noise, rcond=None)[0]
-
     # Paired solves on a subsample of the draws.
     m_solves = min(trials, solve_trials)
     solve_children = ss_solve.spawn(m_solves)
@@ -444,12 +405,11 @@ def spurious_info_demo(
     k_null = sample.null_basis.shape[0]
     abs_std = np.zeros(k_null)
     abs_prob = np.zeros(k_null)
-    point_cov = np.zeros((3, 3))
     for i in range(m_solves):
         rng = np.random.default_rng(solve_children[i])
         coeffs = sigma_n * rng.standard_normal((n_feat, 2))
         eta = coeffs[:, 0:1] * t1 + coeffs[:, 1:2] * t2
-        n_hat = _perturb_normals(normals, eta, "small-angle")
+        n_hat = normals + np.cross(normals, eta)
         normal_covs = tangent_covariances(n_hat / np.linalg.norm(n_hat, axis=1, keepdims=True), sigma_n)
         bundle = accumulate_arrays(points, n_hat, offsets, weights, point_cov, normal_covs)
         x_std = np.linalg.solve(bundle.hessian + ridge * np.eye(6), bundle.rhs)
@@ -460,7 +420,6 @@ def spurious_info_demo(
     return SpuriousInfoReport(
         hessian_mean_rel_error=rel_err,
         noise_hessian=h_noise,
-        predicted_bias=predicted_bias,
         null_basis=sample.null_basis.copy(),
         standard_null_mean_abs=abs_std / m_solves,
         probabilistic_null_mean_abs=abs_prob / m_solves,

@@ -25,14 +25,14 @@ from degen_icp import (
     exp_se3,
     exp_so3,
     extract_features,
-    fit_plane,
+    fit_planes,
     frame_change_matrix,
     gaussian_cdf,
     degeneracy_probability,
     generate_scene,
     icp,
     mc_direction_stats,
-    normal_covariance,
+    normal_covariances,
     skew,
     solve_update,
     spurious_info_demo,
@@ -252,14 +252,15 @@ def test_criterion_07_normal_covariance_dual_form():
         )
         pts[:, 2] = 0.2 * pts[:, 0] - 0.1 * pts[:, 1] + 0.02 * rng.standard_normal(count)
         pts += 0.02 * rng.standard_normal((count, 3))
-        fit = fit_plane(pts)
-        assert fit.eigenvalues[2] > 0
+        batch = fit_planes(pts[None])
+        assert batch.eigenvalues[0, 2] > 0
         sigma_i = 0.01
-        nc = normal_covariance(fit, sigma_i, count)
+        _, covs = normal_covariances(batch, sigma_i, count, np.inf)
+        normal = batch.normals[0]
         centered = pts - pts.mean(axis=0)
         emp_cov = centered.T @ centered / (count - 1)
-        dual = skew(fit.normal) @ ((sigma_i**2 / count) * np.linalg.inv(emp_cov)) @ skew(fit.normal).T
-        err = float(np.abs(nc.cov - dual).max())
+        dual = skew(normal) @ ((sigma_i**2 / count) * np.linalg.inv(emp_cov)) @ skew(normal).T
+        err = float(np.abs(covs[0] - dual).max())
         worst = max(worst, err)
         assert err <= 1e-10
     _pass(f"criterion 7: dual-form agreement, worst entry difference {worst:.2e}")

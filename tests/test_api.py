@@ -1,10 +1,13 @@
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import degen_icp
+from degen_icp import errors
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(degen_icp.__path__))
 LISTING = [name for name in MODULES if hasattr(importlib.import_module(f"degen_icp.{name}"), "__all__")]
@@ -29,3 +32,15 @@ def test_public_definitions_listed(name):
         and attr not in module.__all__
     ]
     assert not unlisted, f"degen_icp.{name} defines public names missing from __all__: {unlisted}"
+
+
+def test_errors_are_raised():
+    source = "\n".join(path.read_text() for path in Path(degen_icp.__file__).parent.glob("*.py"))
+    raised = set(re.findall(r"\braise\s+(\w+)", source))
+    unraised = [
+        name
+        for name, obj in vars(errors).items()
+        if inspect.isclass(obj) and issubclass(obj, errors.DegenIcpError) and obj is not errors.DegenIcpError
+        and name not in raised
+    ]
+    assert not unraised, f"error types no code raises: {unraised}"

@@ -62,6 +62,10 @@ class TestSimulate:
         points, _ = cloud_io.read_ply(tmp_path / "clean.ply")
         np.testing.assert_allclose(np.linalg.norm(points[:, :2], axis=1), 2.0, atol=1e-9)
 
+    def test_bad_scene_creates_no_out(self, tmp_path):
+        assert _run("simulate", "--dim", "radius=2", "--out", tmp_path / "o1") == 2
+        assert not (tmp_path / "o1").exists()
+
 
 class TestDetect:
     def test_room_all_confident(self, tmp_path):
@@ -155,6 +159,20 @@ class TestRegister:
         )
         assert code == 1
 
+    def test_bad_init_creates_no_out(self, tmp_path):
+        assert _register_with_init(tmp_path, "x " * 16, "--out", tmp_path / "o") == 1
+        assert not (tmp_path / "o").exists()
+
+
+def _register_with_init(tmp_path, init_text, *argv):
+    """register a small cloud onto itself from an init pose file holding init_text."""
+    cloud_io.write_ply(tmp_path / "c.ply", np.random.default_rng(0).uniform(-1, 1, (30, 3)))
+    (tmp_path / "init.txt").write_text(init_text)
+    return _run(
+        "register", "--source", tmp_path / "c.ply", "--target", tmp_path / "c.ply",
+        "--init", tmp_path / "init.txt", *argv,
+    )
+
 
 class TestOracle:
     def test_small_run_passes(self, tmp_path):
@@ -206,6 +224,11 @@ class TestSweep:
         csv = tmp_path / "e.csv"
         assert _run("sweep", "--parameter", "s", "--values", "", "--out", csv) == 0
         assert csv.read_text() == "value,direction,eigenvalue,probability\n"
+
+    def test_bad_scene_creates_no_out(self, tmp_path):
+        argv = ("sweep", "--parameter", "s", "--values", "1,2", "--dim", "radius=2", "--out", tmp_path / "o2")
+        assert _run(*argv) == 2
+        assert not (tmp_path / "o2").exists()
 
 
 class TestConfigAndErrors:
@@ -263,6 +286,25 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert f"bad.{fmt}" in err and "non-finite" in err
 
+
+    @pytest.mark.parametrize("line", ["element vertex abc", "element vertex"])
+    def test_bad_vertex_count_names_file(self, tmp_path, capsys, line):
+        path = tmp_path / "count.ply"
+        path.write_text(f"ply\nformat ascii 1.0\n{line}\nproperty double x\nend_header\n")
+        assert _run("detect", "--cloud", path) == 1
+        err = capsys.readouterr().err
+        assert "count.ply" in err and line in err
+
+    def test_bad_pose_names_file(self, tmp_path, capsys):
+        assert _register_with_init(tmp_path, "x " * 16) == 1
+        err = capsys.readouterr().err
+        assert "init.txt" in err and "'x'" in err
+
+    def test_config_range_error_names_file_and_key(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"version": 1, "icp": {"translation_tol": -1}}))
+        assert _register_with_init(tmp_path, "1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1", "--config", path) == 2
+        assert f"config {path}: icp.translation_tol must be positive, got -1.0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "body, key",

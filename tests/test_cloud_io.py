@@ -58,6 +58,31 @@ class TestPly:
         np.testing.assert_array_equal(points, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
         assert normals is None
 
+    @pytest.mark.parametrize(
+        "props, normals_read",
+        [("x y z intensity", False), ("x y z intensity nx ny nz", True)],
+        ids=["after_z", "between_z_and_normals"],
+    )
+    def test_extra_vertex_properties(self, tmp_path, props, normals_read):
+        path = tmp_path / "extra.ply"
+        header = "ply\nformat ascii 1.0\nelement vertex 2\n" + "".join(f"property float {c}\n" for c in props.split())
+        rows = {"x": 1, "y": 2, "z": 3, "intensity": 9, "nx": 0, "ny": 0, "nz": 1}
+        body = "".join(" ".join(str(rows[c] + i) for c in props.split()) + "\n" for i in range(2))
+        path.write_text(header + "end_header\n" + body)
+        points, normals = cloud_io.read_ply(path)
+        np.testing.assert_array_equal(points, [[1, 2, 3], [2, 3, 4]])
+        if normals_read:
+            np.testing.assert_array_equal(normals, [[0, 0, 1], [1, 1, 2]])
+        else:
+            assert normals is None
+
+    def test_rejects_missing_coordinate(self, tmp_path):
+        path = tmp_path / "xy.ply"
+        header = "ply\nformat ascii 1.0\nelement vertex 1\n" + "".join(f"property double {c}\n" for c in "xy")
+        path.write_text(header + "property double intensity\nend_header\n0 0 5\n")
+        with pytest.raises(ValueError, match="xy.ply: vertex properties"):
+            cloud_io.read_ply(path)
+
 
 class TestCsv:
     def test_round_trip(self, cloud):

@@ -224,6 +224,14 @@ class TestDirectionStats:
         assert mu_all == mu_a + mu_b
         assert s2_all == s2_a + s2_b
 
+    def test_matches_analyze_reports(self):
+        # One direction and the whole eigenbasis share the moment formulas.
+        bundle = accumulate_arrays(*random_feature_arrays(np.random.default_rng(8), 40))
+        for report in analyze(bundle, 10.0):
+            mu, s2 = direction_stats(bundle, report.direction)
+            assert mu == pytest.approx(report.noise_mean, rel=1e-14)
+            assert s2 == pytest.approx(report.noise_std**2, rel=1e-14)
+
 
 class TestGaussianCdf:
     def test_zero_is_exactly_half(self):

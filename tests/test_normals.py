@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from degen_icp import (
-    DegenerateNeighborhood,
-    TooFewPoints,
-    fit_plane,
-    fit_planes,
-    is_outlier,
-    normal_covariance,
-    normal_vector_cov,
-    skew,
-)
+from degen_icp import TooFewPoints, fit_planes, normal_covariances, skew
+from degen_icp.normals import PlaneFitBatch
 
 
 def _empirical_cov(points):
@@ -26,23 +18,47 @@ def _noisy_patch(rng, count=12, sigma=0.02):
     return pts
 
 
+def _fit(pts, viewpoint=None):
+    """fit_planes on a single neighborhood."""
+    vp = None if viewpoint is None else np.reshape(viewpoint, (1, 3))
+    return fit_planes(np.asarray(pts, dtype=float)[None], vp)
+
+
+def _cov(batch, sigma_i, n_pts):
+    """The normal covariance of a batch's only row, with no outlier gate."""
+    keep, covs = normal_covariances(batch, sigma_i, n_pts, np.inf)
+    assert keep.tolist() == [True]
+    return covs[0]
+
+
+def _keeps(lambda2, sigma_i, n_pts, sigma_n_max):
+    """Outlier test on a fit whose worst-case variance is sigma_i^2 / (n_pts * lambda2)."""
+    batch = PlaneFitBatch(
+        normals=np.array([[0.0, 0.0, 1.0]]),
+        centroids=np.zeros((1, 3)),
+        eigenvalues=np.array([[1.0, lambda2, 0.0]]),
+        rotations=np.eye(3)[None],
+        collinear=np.array([False]),
+    )
+    return bool(normal_covariances(batch, sigma_i, n_pts, sigma_n_max)[0][0])
+
+
 class TestFitPlane:
     def test_unit_square(self):
         corners = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
-        fit = fit_plane(corners, viewpoint=[0.5, 0.5, 1.0])
-        np.testing.assert_allclose(fit.normal, [0, 0, 1], atol=1e-12)
-        assert fit.eigenvalues[2] == pytest.approx(0.0, abs=1e-15)
-        np.testing.assert_allclose(fit.eigenvalues[:2], [1 / 3, 1 / 3], atol=1e-12)
-        np.testing.assert_allclose(fit.centroid, [0.5, 0.5, 0.0], atol=1e-15)
+        fit = _fit(corners, viewpoint=[0.5, 0.5, 1.0])
+        np.testing.assert_allclose(fit.normals[0], [0, 0, 1], atol=1e-12)
+        assert fit.eigenvalues[0, 2] == pytest.approx(0.0, abs=1e-15)
+        np.testing.assert_allclose(fit.eigenvalues[0, :2], [1 / 3, 1 / 3], atol=1e-12)
+        np.testing.assert_allclose(fit.centroids[0], [0.5, 0.5, 0.0], atol=1e-15)
 
-    def test_collinear_raises(self):
+    def test_collinear_flagged(self):
         pts = np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2]], dtype=float)
-        with pytest.raises(DegenerateNeighborhood):
-            fit_plane(pts)
+        assert _fit(pts).collinear.tolist() == [True]
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
-            fit_plane(np.array([[0, 0, 0], [1, 0, 0]], dtype=float))
+            _fit(np.array([[0, 0, 0], [1, 0, 0]], dtype=float))
 
     def test_noisy_plane_recovers_normal(self):
         rng = np.random.default_rng(42)
@@ -50,157 +66,129 @@ class TestFitPlane:
             [rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50), np.full(50, 0.3)]
         )
         pts += 0.01 * rng.standard_normal((50, 3))
-        fit = fit_plane(pts, viewpoint=[0, 0, 5.0])
-        angle = np.degrees(np.arccos(np.clip(fit.normal @ [0, 0, 1], -1, 1)))
+        fit = _fit(pts, viewpoint=[0, 0, 5.0])
+        angle = np.degrees(np.arccos(np.clip(fit.normals[0] @ [0, 0, 1], -1, 1)))
         assert angle < 2.0
 
     def test_viewpoint_orients_normal(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-        above = fit_plane(pts, viewpoint=[0, 0, 2.0])
-        below = fit_plane(pts, viewpoint=[0, 0, -2.0])
-        np.testing.assert_allclose(above.normal, -below.normal, atol=1e-15)
-        assert above.normal[2] > 0
+        above = _fit(pts, viewpoint=[0, 0, 2.0])
+        below = _fit(pts, viewpoint=[0, 0, -2.0])
+        np.testing.assert_allclose(above.normals[0], -below.normals[0], atol=1e-15)
+        assert above.normals[0, 2] > 0
 
     def test_lexicographic_fallback_sign(self):
         pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], dtype=float)
-        fit = fit_plane(pts)
-        assert fit.normal[2] > 0  # first nonzero component positive
+        fit = _fit(pts)
+        assert fit.normals[0, 2] > 0  # first nonzero component positive
 
     def test_rotation_frame_valid(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
-            fit = fit_plane(_noisy_patch(rng), viewpoint=rng.standard_normal(3))
-            np.testing.assert_allclose(fit.rotation.T @ fit.rotation, np.eye(3), atol=1e-12)
-            assert np.linalg.det(fit.rotation) == pytest.approx(1.0, abs=1e-12)
-            np.testing.assert_allclose(fit.rotation[:, 2], fit.normal, atol=1e-15)
-            assert fit.eigenvalues[0] >= fit.eigenvalues[1] >= fit.eigenvalues[2] >= 0
-
-    def test_batch_matches_single(self):
-        rng = np.random.default_rng(4)
-        patches = np.stack([_noisy_patch(rng) for _ in range(5)])
-        vps = rng.standard_normal((5, 3))
-        batch = fit_planes(patches, vps)
-        for i in range(5):
-            single = fit_plane(patches[i], viewpoint=vps[i])
-            np.testing.assert_allclose(batch.normals[i], single.normal, atol=1e-14)
-            np.testing.assert_allclose(batch.eigenvalues[i], single.eigenvalues, atol=1e-14)
+            fit = _fit(_noisy_patch(rng), viewpoint=rng.standard_normal(3))
+            rot, evals = fit.rotations[0], fit.eigenvalues[0]
+            np.testing.assert_allclose(rot.T @ rot, np.eye(3), atol=1e-12)
+            assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(rot[:, 2], fit.normals[0], atol=1e-15)
+            assert evals[0] >= evals[1] >= evals[2] >= 0
 
 
 class TestNormalCovariance:
     def test_symmetric_patch_closed_form(self):
         corners = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
-        fit = fit_plane(corners, viewpoint=[0.5, 0.5, 1.0])
+        fit = _fit(corners, viewpoint=[0.5, 0.5, 1.0])
         sigma_i, n_pts = 0.02, 4
-        nc = normal_covariance(fit, sigma_i, n_pts)
-        c = fit.eigenvalues[0]
-        n = fit.normal
+        cov = _cov(fit, sigma_i, n_pts)
+        c = fit.eigenvalues[0, 0]
+        n = fit.normals[0]
         expected = (sigma_i**2 / (n_pts * c)) * (np.eye(3) - np.outer(n, n))
-        np.testing.assert_allclose(nc.cov, expected, atol=1e-15)
+        np.testing.assert_allclose(cov, expected, atol=1e-15)
 
     def test_zero_sigma(self):
         rng = np.random.default_rng(5)
-        fit = fit_plane(_noisy_patch(rng))
-        nc = normal_covariance(fit, 0.0, 12)
-        np.testing.assert_array_equal(nc.cov, np.zeros((3, 3)))
-        assert nc.worst_case_std == 0.0
+        keep, covs = normal_covariances(_fit(_noisy_patch(rng)), 0.0, 12, 0.0)
+        np.testing.assert_array_equal(covs, np.zeros((1, 3, 3)))
+        assert keep.tolist() == [True]  # worst-case variance 0 passes a zero gate
 
-    def test_degenerate_lambda2_raises(self):
+    def test_degenerate_lambda2_rejected(self):
         pts = np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2]], dtype=float)
-        with pytest.raises(DegenerateNeighborhood):
-            fit_plane(pts)
+        keep, covs = normal_covariances(_fit(pts), 0.01, 3, np.inf)
+        assert keep.tolist() == [False]
+        assert covs.shape == (0, 3, 3)
 
     def test_cov_annihilates_normal_and_is_psd(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
-            fit = fit_plane(_noisy_patch(rng))
-            nc = normal_covariance(fit, 0.01, 12)
-            np.testing.assert_allclose(nc.cov @ fit.normal, np.zeros(3), atol=1e-10)
-            np.testing.assert_allclose(nc.cov, nc.cov.T, atol=1e-15)
-            assert np.linalg.eigvalsh(nc.cov).min() >= -1e-15
+            fit = _fit(_noisy_patch(rng))
+            cov = _cov(fit, 0.01, 12)
+            np.testing.assert_allclose(cov @ fit.normals[0], np.zeros(3), atol=1e-10)
+            np.testing.assert_allclose(cov, cov.T, atol=1e-15)
+            assert np.linalg.eigvalsh(cov).min() >= -1e-15
 
     def test_dual_form_matches_inverse_conjugation(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             pts = _noisy_patch(rng)
-            fit = fit_plane(pts)
-            assert fit.eigenvalues[2] > 0
+            fit = _fit(pts)
+            assert fit.eigenvalues[0, 2] > 0
             sigma_i, n_pts = 0.01, pts.shape[0]
-            nc = normal_covariance(fit, sigma_i, n_pts)
+            cov = _cov(fit, sigma_i, n_pts)
             c_inv = np.linalg.inv(_empirical_cov(pts))
-            dual = skew(fit.normal) @ ((sigma_i**2 / n_pts) * c_inv) @ skew(fit.normal).T
-            np.testing.assert_allclose(nc.cov, dual, atol=1e-10)
+            s = skew(fit.normals[0])
+            np.testing.assert_allclose(cov, s @ ((sigma_i**2 / n_pts) * c_inv) @ s.T, atol=1e-10)
 
     def test_sigma_scaling_is_exact(self):
         rng = np.random.default_rng(8)
-        fit = fit_plane(_noisy_patch(rng))
-        base = normal_covariance(fit, 0.01, 12)
-        doubled = normal_covariance(fit, 0.02, 12)
-        np.testing.assert_array_equal(doubled.cov, 4.0 * base.cov)
+        fit = _fit(_noisy_patch(rng))
+        np.testing.assert_array_equal(_cov(fit, 0.02, 12), 4.0 * _cov(fit, 0.01, 12))
 
     def test_count_scaling_is_exact(self):
         rng = np.random.default_rng(9)
-        fit = fit_plane(_noisy_patch(rng))
-        base = normal_covariance(fit, 0.01, 8)
-        quadrupled = normal_covariance(fit, 0.01, 32)
-        np.testing.assert_array_equal(quadrupled.cov, base.cov / 4.0)
+        fit = _fit(_noisy_patch(rng))
+        np.testing.assert_array_equal(_cov(fit, 0.01, 32), _cov(fit, 0.01, 8) / 4.0)
 
     def test_worst_case_matches_largest_eigenvalue(self):
+        # The outlier gate compares sigma_n_max^2 with the worst-case
+        # variance, which must be the covariance's largest eigenvalue.
         rng = np.random.default_rng(10)
         for _ in range(10):
-            fit = fit_plane(_noisy_patch(rng))
-            nc = normal_covariance(fit, 0.015, 12)
-            assert nc.worst_case_std**2 == pytest.approx(
-                np.linalg.eigvalsh(nc.cov).max(), abs=1e-10
-            )
-
-    def test_vector_cov_is_skew_conjugate(self):
-        rng = np.random.default_rng(11)
-        fit = fit_plane(_noisy_patch(rng))
-        nc = normal_covariance(fit, 0.01, 12)
-        s = skew(fit.normal)
-        np.testing.assert_allclose(
-            normal_vector_cov(fit, 0.01, 12), s @ nc.cov @ s.T, atol=1e-15
-        )
+            fit = _fit(_noisy_patch(rng))
+            worst_std = np.sqrt(np.linalg.eigvalsh(_cov(fit, 0.015, 12)).max())
+            assert normal_covariances(fit, 0.015, 12, worst_std * (1 + 1e-9))[0][0]
+            assert not normal_covariances(fit, 0.015, 12, worst_std * (1 - 1e-9))[0][0]
 
     def test_fitted_normal_scatter_orientation(self):
         # Monte Carlo oracle: the scatter of refitted normals on an
-        # anisotropic patch must match normal_vector_cov, i.e. largest
-        # variance along the short in-plane axis.
+        # anisotropic patch must match the skew(n)-conjugated covariance,
+        # i.e. largest variance along the short in-plane axis.
         rng = np.random.default_rng(12)
         base = np.column_stack(
             [rng.uniform(-1, 1, 40), rng.uniform(-0.15, 0.15, 40), np.zeros(40)]
         )
         sigma = 0.004
-        fit0 = fit_plane(base, viewpoint=[0, 0, 1.0])
-        predicted = normal_vector_cov(fit0, sigma, base.shape[0])
-        devs = np.array(
-            [
-                fit_plane(base + sigma * rng.standard_normal(base.shape), viewpoint=[0, 0, 1.0]).normal
-                - fit0.normal
-                for _ in range(3000)
-            ]
-        )
+        fit0 = _fit(base, viewpoint=[0, 0, 1.0])
+        n0 = fit0.normals[0]
+        predicted = skew(n0) @ _cov(fit0, sigma, base.shape[0]) @ skew(n0).T
+        noisy = base + sigma * rng.standard_normal((3000, 40, 3))
+        devs = fit_planes(noisy, np.broadcast_to([0, 0, 1.0], (3000, 3))).normals - n0
         empirical = devs.T @ devs / devs.shape[0]
         # In-plane variances match within Monte Carlo tolerance (anisotropy
         # ratio here is ~40x, so an axis swap would fail loudly).
         for axis in range(2):
-            v = fit0.rotation[:, axis]
+            v = fit0.rotations[0][:, axis]
             assert v @ empirical @ v == pytest.approx(v @ predicted @ v, rel=0.25)
 
 
 class TestOutlier:
     def test_zero_std_never_outlier(self):
         rng = np.random.default_rng(13)
-        fit = fit_plane(_noisy_patch(rng))
-        nc = normal_covariance(fit, 0.0, 12)
-        assert not is_outlier(nc, 0.05)
+        keep, _ = normal_covariances(_fit(_noisy_patch(rng)), 0.0, 12, 0.05)
+        assert keep.tolist() == [True]
 
     def test_threshold_exceeded(self):
-        from degen_icp import NormalCovariance
-
-        assert is_outlier(NormalCovariance(np.zeros((3, 3)), 0.2), 0.10)
+        # Worst-case std 0.2: 0.2^2 / (4 * 0.25).
+        assert not _keeps(0.25, 0.2, 4, 0.10)
 
     def test_boundary_is_strict(self):
-        from degen_icp import NormalCovariance
-
-        assert not is_outlier(NormalCovariance(np.zeros((3, 3)), 0.10), 0.10)
+        # Worst-case std exactly 0.10: kept.
+        assert _keeps(0.25, 0.10, 4, 0.10)
