@@ -42,8 +42,6 @@ from .registration import (
     IcpConfig,
     Probabilistic,
     RegistrationResult,
-    RobustCost,
-    RobustKind,
     SolutionRemap,
     SolverMethod,
     Standard,
@@ -51,7 +49,6 @@ from .registration import (
     attenuated_update,
     extract_features,
     icp,
-    robust_weight,
     solve_update,
 )
 from .simulation import (

@@ -312,7 +312,7 @@ def cmd_register(args: argparse.Namespace) -> int:
         f"register: {result.termination} after {len(result.iterations)} iterations "
         f"(converged={result.converged}); outputs in {out}"
     )
-    return 0
+    return 1 if result.termination == "no-correspondences" else 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:

@@ -73,8 +73,8 @@ def read_ply(path) -> tuple[Array, Array | None]:
     """Read an ASCII PLY written by write_ply (or compatible).
 
     Vertex columns are picked by name: x y z, and nx ny nz when all three
-    are present; other vertex properties are read and ignored. Returns
-    (points, normals or None).
+    are present; other scalar vertex properties are read and ignored, and a
+    vertex list property is rejected. Returns (points, normals or None).
     """
     text = Path(path).read_text().splitlines()
     if not text or text[0].strip() != "ply":
@@ -105,6 +105,8 @@ def read_ply(path) -> tuple[Array, Array | None]:
             elif count is None:
                 raise ValueError(f"{path}: unsupported element {element!r} before vertex")
         elif tok[0] == "property" and element == "vertex":
+            if tok[1] == "list":
+                raise ValueError(f"{path}: unsupported vertex list property {tok[-1]!r}")
             props.append(tok[2])
         elif tok[0] == "end_header":
             body_start = i + 1
@@ -164,13 +166,20 @@ def write_pose(path, matrix) -> None:
 
 
 def read_pose(path) -> Array:
+    """A rigid 4x4 pose: bottom row 0 0 0 1 and a rotation block R with
+    R^T R = I and det R = 1, each to 1e-6."""
     try:
         vals = [float(v) for v in Path(path).read_text().split()]
     except ValueError as exc:
         raise ValueError(f"{path}: malformed pose ({exc})") from None
     if len(vals) != 16:
         raise ValueError(f"{path}: expected 16 numbers, got {len(vals)}")
-    return np.asarray(vals, dtype=np.float64).reshape(4, 4)
+    m = np.asarray(vals, dtype=np.float64).reshape(4, 4)
+    rot = m[:3, :3]
+    off = [np.abs(m[3] - [0, 0, 0, 1]).max(), np.abs(rot.T @ rot - np.eye(3)).max(), abs(np.linalg.det(rot) - 1)]
+    if not max(off) <= 1e-6:
+        raise ValueError(f"{path}: not a rigid pose (needs bottom row 0 0 0 1 and a rotation block)")
+    return m
 
 
 def write_matrix(path, matrix) -> None:

@@ -73,7 +73,6 @@ class DirectionReport:
     noise_mean: float
     noise_std: float
     probability: float
-    snr_target: float
 
 
 def accumulate_arrays(points, normals, offsets, weights, point_covs, normal_covs) -> HessianBundle:
@@ -199,7 +198,6 @@ def _direction_reports(bundle: HessianBundle, vals: Array, vecs: Array, s: float
                 noise_mean=float(mu[k]),
                 noise_std=sigma,
                 probability=prob,
-                snr_target=float(s),
             )
         )
     return reports

@@ -43,11 +43,11 @@ def _fix_leading_signs(vecs: Array) -> Array:
     return vecs * sign[..., None, :]
 
 
-def fit_planes(neighbors, viewpoints=None) -> PlaneFitBatch:
+def fit_planes(neighbors) -> PlaneFitBatch:
     """Fit one plane per row of an (M, k, 3) neighborhood stack, k >= 3.
 
-    Normals point toward the matching viewpoint when given, otherwise the
-    first nonzero component is made positive.
+    Normals are unoriented: the sign convention makes the first nonzero
+    component positive, and no result downstream depends on it.
     """
     pts = np.asarray(neighbors, dtype=np.float64)
     if pts.ndim != 3 or pts.shape[-1] != 3:
@@ -65,16 +65,10 @@ def fit_planes(neighbors, viewpoints=None) -> PlaneFitBatch:
     evecs = evecs[:, :, ::-1]
     evecs = _fix_leading_signs(evecs)
 
-    normals = evecs[:, :, 2].copy()
-    if viewpoints is not None:
-        toward = np.asarray(viewpoints, dtype=np.float64) - centroids
-        flip = np.einsum("mi,mi->m", normals, toward) < 0.0
-        normals[flip] *= -1.0
-        evecs[flip, :, 2] *= -1.0
-
     # Right-handed frames: flip v2 where needed.
     dets = np.linalg.det(evecs)
     evecs[dets < 0.0, :, 1] *= -1.0
+    normals = evecs[:, :, 2].copy()
 
     collinear = evals[:, 1] <= _COLLINEAR_RATIO * evals[:, 0]
     return PlaneFitBatch(normals, centroids, evals, evecs, collinear)

@@ -11,7 +11,6 @@ a condition-number cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Union
 
 import numpy as np
@@ -30,8 +29,6 @@ from .geometry import Pose, Twist, compose, exp_se3, frame_change_matrix
 from .normals import fit_planes, normal_covariances
 
 __all__ = [
-    "RobustKind",
-    "RobustCost",
     "Standard",
     "Probabilistic",
     "EigenTruncate",
@@ -43,7 +40,6 @@ __all__ = [
     "IterationRecord",
     "RegistrationResult",
     "IcpConfig",
-    "robust_weight",
     "attenuated_update",
     "solve_update",
     "extract_features",
@@ -54,19 +50,6 @@ Array = NDArray[np.float64]
 
 # Eigenvalues at or below this are treated as numerically zero.
 _SINGULAR_EIG = 1e-12
-
-
-class RobustKind(str, Enum):
-    L2 = "l2"
-    GEMAN_MCCLURE = "geman-mcclure"
-
-
-@dataclass(frozen=True)
-class RobustCost:
-    """Robust kernel selection; scale is the residual soft threshold."""
-
-    kind: RobustKind = RobustKind.GEMAN_MCCLURE
-    scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -159,8 +142,8 @@ class RegistrationResult:
 class IcpConfig:
     """Controls for correspondence search, noise models and the solver.
 
-    robust_cost None resolves to Geman-McClure with scale 3*sigma_p, or to a
-    plain L2 kernel when sigma_p is zero.
+    Residuals are weighted by a Geman-McClure kernel of scale 3*sigma_p, or
+    not at all when sigma_p is zero.
     """
 
     method: SolverMethod = field(default_factory=Probabilistic)
@@ -173,26 +156,14 @@ class IcpConfig:
     translation_tol: float = 1e-4
     rotation_tol: float = 1e-4
     max_correspondence_distance: float = 1.0
-    residual_weight: float = 1.0
-    robust_cost: RobustCost | None = None
-
-    def resolved_robust_cost(self) -> RobustCost:
-        if self.robust_cost is not None:
-            return self.robust_cost
-        if self.sigma_p > 0.0:
-            return RobustCost(RobustKind.GEMAN_MCCLURE, 3.0 * self.sigma_p)
-        return RobustCost(RobustKind.L2)
 
 
-def robust_weight(cost: RobustCost, u):
-    """Residual attenuation w_rho at scaled residual magnitude u (scalar or
-    array). L2 gives 1; Geman-McClure gives 1 / (1 + (u/scale)^2)."""
-    u = np.asarray(u, dtype=np.float64)
-    if cost.kind is RobustKind.L2:
-        w = np.ones_like(u)
-    else:
-        w = 1.0 / (1.0 + (u / cost.scale) ** 2)
-    return float(w) if w.ndim == 0 else w
+def _residual_weights(residuals: Array, sigma_p: float) -> Array:
+    """Geman-McClure weights 1 / (1 + (r / (3 sigma_p))^2) of point-to-plane
+    residuals r; ones when sigma_p is zero."""
+    if sigma_p == 0.0:
+        return np.ones_like(residuals)
+    return 1.0 / (1.0 + (residuals / (3.0 * sigma_p)) ** 2)
 
 
 def _gated_solve(vals: Array, vecs: Array, rhs: Array, gamma: Array) -> Array:
@@ -212,21 +183,17 @@ def attenuated_update(hessian, rhs, probabilities) -> Array:
     return _gated_solve(vals, vecs, g, p)
 
 
-def solve_update(
-    bundle: HessianBundle,
-    method: SolverMethod,
-    sigma_r: float = 1.0,
-    report_snr: float = 10.0,
-) -> UpdateSolution:
+def solve_update(bundle: HessianBundle, method: SolverMethod, sigma_r: float = 1.0) -> UpdateSolution:
     """Solve one update from an accumulated bundle with the chosen method.
 
     Degeneracy reports are always computed (they are O(N) diagnostics); the
-    probabilistic method uses its own s, the others report at report_snr.
+    probabilistic method uses its own s, the others report at the default
+    Probabilistic.s.
     """
     if bundle.size == 0:
         raise EmptyFeatureSet("cannot solve an empty bundle")
     vals, vecs = _eigh_descending(bundle.hessian)
-    snr = method.s if isinstance(method, Probabilistic) else report_snr
+    snr = method.s if isinstance(method, Probabilistic) else Probabilistic.s
     reports = _direction_reports(bundle, vals, vecs, snr)
     rhs = bundle.rhs
 
@@ -269,11 +236,13 @@ def extract_features(
     """Build sensor-frame plane features for one linearization.
 
     For every source point: transform by the pose, take the k nearest target
-    points, fit a plane oriented toward the sensor, anchor its offset at the
-    nearest target point, and keep the pair unless the nearest neighbor is too
-    far, the patch is collinear, or the normal's worst-case standard deviation
-    exceeds sigma_n_max. The surviving planes are pulled back into the sensor
-    frame along with their normal noise covariances.
+    points, fit a plane, anchor its offset at the nearest target point, and
+    keep the pair unless the nearest neighbor is too far, the patch is
+    collinear, or the normal's worst-case standard deviation exceeds
+    sigma_n_max. The surviving planes are pulled back into the sensor frame
+    along with their normal noise covariances. The fits do not depend on the
+    pose: a normal's sign is fixed by the fit alone, and flipping a normal
+    with its offset leaves every accumulated term unchanged.
     """
     src = np.asarray(source, dtype=np.float64).reshape(-1, 3)
     tgt = np.asarray(target, dtype=np.float64).reshape(-1, 3)
@@ -294,7 +263,7 @@ def extract_features(
         raise NoCorrespondences("all correspondences beyond the distance limit")
 
     sel_idx = idx[near]
-    batch = fit_planes(tgt[sel_idx], viewpoints=np.broadcast_to(pose.translation, (sel_idx.shape[0], 3)))
+    batch = fit_planes(tgt[sel_idx])
     keep, rot_cov_w = normal_covariances(batch, config.sigma_i, k, config.sigma_n_max)
     rejected_collinear = int(np.sum(batch.collinear))
     rejected_outlier = int(np.sum(~batch.collinear & ~keep))
@@ -306,9 +275,7 @@ def extract_features(
     d_w = np.einsum("mi,mi->m", n_w, anchors)
     residuals = np.einsum("mi,mi->m", n_w, p_world[near][keep]) - d_w
 
-    cost = config.resolved_robust_cost()
-    w_r = config.residual_weight
-    weights = w_r * robust_weight(cost, np.abs(w_r * residuals))
+    weights = _residual_weights(residuals, config.sigma_p)
 
     # Pull planes and noise models back into the sensor frame.
     n_l = n_w @ pose.rotation
@@ -337,7 +304,9 @@ def icp(source, target, init: Pose | None = None, config: IcpConfig | None = Non
     configured method and composes the local update on the right of the pose.
     Iteration stops when both twist norms fall below their tolerances or the
     iteration limit is reached. The final information matrix is conjugated to
-    the world frame.
+    the world frame. NoCorrespondences in the first iteration is raised; in a
+    later one it ends the run, unconverged, with termination
+    "no-correspondences" and the iterations so far.
     """
     cfg = config if config is not None else IcpConfig()
     pose = init if init is not None else Pose.identity()
@@ -349,7 +318,13 @@ def icp(source, target, init: Pose | None = None, config: IcpConfig | None = Non
     converged = False
     termination = "max-iterations"
     for _ in range(cfg.max_iterations):
-        bundle, stats = extract_features(source, tgt, pose, cfg, tree=tree)
+        try:
+            bundle, stats = extract_features(source, tgt, pose, cfg, tree=tree)
+        except NoCorrespondences:
+            if not iterations:
+                raise
+            termination = "no-correspondences"
+            break
         sol = solve_update(bundle, cfg.method, sigma_r=cfg.sigma_r)
         pose = compose(pose, exp_se3(sol.twist))
         step_rot = float(np.linalg.norm(sol.twist.rot))

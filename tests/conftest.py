@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from degen_icp import Pose, exp_so3, skew
+from degen_icp import NoCorrespondences, Pose, exp_so3, skew
 
 
 def random_rotation(rng):
@@ -73,3 +73,16 @@ def feature_covariance(p, n, w, point_cov, normal_cov):
     block[3:, 3:] = normal_cov
     sigma = b @ block @ b.T
     return 0.5 * (sigma + sigma.T)
+
+
+def fail_after_first_call(extract_features):
+    """extract_features that raises NoCorrespondences from its second call on."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > 1:
+            raise NoCorrespondences("injected after the first linearization")
+        return extract_features(*args, **kwargs)
+
+    return wrapped

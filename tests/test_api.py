@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import degen_icp
-from degen_icp import errors
+from degen_icp import IcpConfig, cli, errors
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(degen_icp.__path__))
 LISTING = [name for name in MODULES if hasattr(importlib.import_module(f"degen_icp.{name}"), "__all__")]
@@ -44,3 +46,12 @@ def test_errors_are_raised():
         and name not in raised
     ]
     assert not unraised, f"error types no code raises: {unraised}"
+
+
+def test_icp_config_fields_settable():
+    """Every IcpConfig field is a setting register reads: a flag or a
+    set_defaults entry of its parser gives it a non-None default."""
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    register = commands.choices["register"]
+    unsettable = [f.name for f in dataclasses.fields(IcpConfig) if register.get_default(f.name) is None]
+    assert not unsettable, f"IcpConfig fields register cannot set: {unsettable}"

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import fail_after_first_call
 
-from degen_icp import cli, cloud_io
+from degen_icp import cli, cloud_io, registration
 from degen_icp.cli import main
 
 
@@ -163,6 +164,23 @@ class TestRegister:
         assert _register_with_init(tmp_path, "x " * 16, "--out", tmp_path / "o") == 1
         assert not (tmp_path / "o").exists()
 
+    def test_later_no_correspondences_writes_outputs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(registration, "extract_features", fail_after_first_call(registration.extract_features))
+        assert _run("simulate", "--kind", "room", "--seed", 4, "--points", 600, "--out", tmp_path) == 0
+        out = tmp_path / "reg"
+        code = _run(
+            "register", "--source", tmp_path / "noisy.ply", "--target", tmp_path / "clean.ply", "--out", out,
+        )
+        assert code == 1
+        assert sorted(p.name for p in out.iterdir()) == [
+            "information.txt", "iterations.jsonl", "pose.txt", "summary.json"
+        ]
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"] == "no-correspondences"
+        assert summary["converged"] is False and summary["iterations"] == 1
+        assert len(cloud_io.read_jsonl(out / "iterations.jsonl")) == 1
+        assert "register: no-correspondences after 1 iterations" in capsys.readouterr().out
+
 
 def _register_with_init(tmp_path, init_text, *argv):
     """register a small cloud onto itself from an init pose file holding init_text."""
@@ -299,6 +317,20 @@ class TestConfigAndErrors:
         assert _register_with_init(tmp_path, "x " * 16) == 1
         err = capsys.readouterr().err
         assert "init.txt" in err and "'x'" in err
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            "1 0 0 0  0 1 0 0  0 0 1 0  5 5 5 5",
+            "2 0 0 0  0 2 0 0  0 0 2 0  0 0 0 1",
+        ],
+        ids=["bottom_row", "scaled_rotation"],
+    )
+    def test_non_rigid_init_names_file(self, tmp_path, capsys, matrix):
+        assert _register_with_init(tmp_path, matrix, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert "init.txt" in err and "not a rigid pose" in err
+        assert not (tmp_path / "o").exists()
 
     def test_config_range_error_names_file_and_key(self, tmp_path, capsys):
         path = tmp_path / "c.json"

@@ -83,6 +83,22 @@ class TestPly:
         with pytest.raises(ValueError, match="xy.ply: vertex properties"):
             cloud_io.read_ply(path)
 
+    @pytest.mark.parametrize(
+        "props, rows",
+        [
+            (["list uchar float x", "double y", "double z"], "1 0.5 2 3\n1 1.5 4 5\n"),
+            (["double x", "double y", "double z", "list uchar int idx"], "1 2 3 1 7\n4 5 6 1 8\n"),
+        ],
+        ids=["leading", "trailing"],
+    )
+    def test_rejects_vertex_list_property(self, tmp_path, props, rows):
+        path = tmp_path / "list.ply"
+        header = "ply\nformat ascii 1.0\nelement vertex 2\n" + "".join(f"property {p}\n" for p in props)
+        path.write_text(header + "end_header\n" + rows)
+        name = next(p.split()[-1] for p in props if p.startswith("list"))
+        with pytest.raises(ValueError, match=f"list.ply: unsupported vertex list property '{name}'"):
+            cloud_io.read_ply(path)
+
 
 class TestCsv:
     def test_round_trip(self, cloud):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_feature_arrays, rotation_angle
+from conftest import fail_after_first_call, random_feature_arrays, rotation_angle
 
 from degen_icp import (
     ConditionNumber,
@@ -10,8 +10,6 @@ from degen_icp import (
     NoiseSpec,
     Pose,
     Probabilistic,
-    RobustCost,
-    RobustKind,
     SceneKind,
     SceneSpec,
     SingularHessian,
@@ -21,13 +19,15 @@ from degen_icp import (
     attenuated_update,
     exp_so3,
     extract_features,
+    frame_change_matrix,
     generate_scene,
     noisy_feature_arrays,
     icp,
-    robust_weight,
     solve_update,
 )
+from degen_icp import registration
 from degen_icp.degeneracy import _eigh_descending
+from degen_icp.registration import _residual_weights
 
 EZ = np.array([0.0, 0.0, 1.0])
 ZERO3 = np.zeros((3, 3))
@@ -44,21 +44,20 @@ def _pd_bundle(rng, count=25):
 
 class TestRobustWeight:
     def test_l2_is_one(self):
-        cost = RobustCost(RobustKind.L2)
-        for u in (0.0, 0.3, 10.0):
-            assert robust_weight(cost, u) == 1.0
+        # sigma_p = 0 leaves a plain L2 cost: unit weights.
+        np.testing.assert_array_equal(_residual_weights(np.array([0.0, 0.3, 10.0]), 0.0), np.ones(3))
 
     def test_geman_mcclure_origin(self):
-        assert robust_weight(RobustCost(RobustKind.GEMAN_MCCLURE, 0.5), 0.0) == 1.0
+        assert _residual_weights(np.array([0.0]), 0.5)[0] == 1.0
 
     def test_geman_mcclure_at_scale(self):
-        w = robust_weight(RobustCost(RobustKind.GEMAN_MCCLURE, 0.25), 0.25)
+        # The scale is 3 sigma_p: 0.75 for sigma_p = 0.25.
+        w = _residual_weights(np.array([0.75]), 0.25)[0]
         assert w == 0.5
         assert w**2 == 0.25
 
     def test_vectorized(self):
-        cost = RobustCost(RobustKind.GEMAN_MCCLURE, 1.0)
-        np.testing.assert_allclose(robust_weight(cost, np.array([0.0, 1.0])), [1.0, 0.5])
+        np.testing.assert_allclose(_residual_weights(np.array([0.0, 0.75, -0.75]), 0.25), [1.0, 0.5, 0.5])
 
 
 class TestLinearize:
@@ -251,13 +250,23 @@ class TestIcp:
         with pytest.raises(NoCorrespondences):
             icp(source, target, None, IcpConfig())
 
+    def test_later_no_correspondences_keeps_iterations(self, monkeypatch):
+        monkeypatch.setattr(registration, "extract_features", fail_after_first_call(registration.extract_features))
+        sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=600, seed=22))
+        init = Pose(np.eye(3), [0.05, 0.0, 0.0])
+        result = icp(sample.points, sample.points, init, IcpConfig())
+        assert result.termination == "no-correspondences"
+        assert not result.converged
+        assert len(result.iterations) == 1
+        local = result.iterations[0].update.information
+        m = frame_change_matrix(result.pose)
+        np.testing.assert_allclose(result.information, m @ local @ m.T, rtol=1e-9, atol=1e-9)
+
     def test_world_information_conjugation(self):
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=1000, seed=19))
         init = Pose(exp_so3([0.0, 0.0, 0.3]), [0.5, -0.2, 0.1])
         source = (sample.points - init.translation) @ init.rotation  # inverse-transform
         result = icp(source, sample.points, init, IcpConfig())
-        from degen_icp import frame_change_matrix
-
         m = frame_change_matrix(result.pose)
         local = result.iterations[-1].update.information
         np.testing.assert_allclose(result.information, m @ local @ m.T, rtol=1e-9, atol=1e-9)
