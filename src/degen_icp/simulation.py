@@ -8,12 +8,17 @@ annihilates the published null basis exactly.
 
 Randomness: every operation takes an explicit 64-bit seed. Monte Carlo loops
 split their seed into one child stream per fixed-size chunk of trials
-(chunk size depends only on the feature count), so a parallel evaluation of
-chunks reproduces the sequential result bit for bit.
+(chunk size depends only on the feature count). The chunks run on a thread
+pool with one worker per core this process may use (os.sched_getaffinity,
+else os.cpu_count), and their results are merged in chunk order, so the
+result is bit for bit the same for any worker count.
 """
 
 from __future__ import annotations
 
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Mapping, Sequence
@@ -40,10 +45,15 @@ __all__ = [
 
 Array = NDArray[np.float64]
 
-# Element budget per Monte Carlo chunk; keeps the (rows, N, 6) work arrays
-# around 16 MB. Part of the determinism contract: the chunk row count is a
-# pure function of the feature count.
+# Element budget per Monte Carlo chunk. Part of the determinism contract: the
+# chunk row count is a pure function of the feature count, and fixes which
+# trials share a seed stream. Each worker holds one chunk's draws, (rows, N, 5)
+# values or about 14 MB.
 _CHUNK_ELEMENTS = 2**21
+# Element budget per row block of a chunk in mc_direction_stats: bounds each
+# (rows, N, 6) and (rows, N, D) array built from the draws to about 1 MB.
+# Results do not depend on it.
+_BLOCK_ELEMENTS = 2**17
 
 
 class SceneKind(str, Enum):
@@ -279,35 +289,51 @@ def _chunk_rows(n_features: int) -> int:
     return max(1, _CHUNK_ELEMENTS // max(n_features * 6, 1))
 
 
-def _noisy_vectors(rng, points, normals, weights, t1, t2, sigma_p, sigma_n, rows) -> Array:
-    """One chunk of noisy feature vectors, shape (rows, N, 6), under the
-    small-angle normal model n + cross(n, eta) of the closed-form statistics.
+def _worker_count() -> int:
+    """Monte Carlo threads: the cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not available on every platform
+        return os.cpu_count() or 1
 
-    Draw order per chunk: point noise first, then tangent coefficients.
+
+def _mc_chunks(task, n_features: int, trials: int, seed: np.random.SeedSequence) -> Iterator:
+    """Results of task(rng, rows) over chunks covering `trials` draws, in
+    chunk order.
+
+    Chunk i draws from the i-th child of seed, and every chunk but the last
+    has _chunk_rows(n_features) rows, so the results do not depend on the
+    worker count. Chunks run on a pool of _worker_count() threads, with at
+    most two chunks per worker in flight.
     """
-    n_feat = points.shape[0]
-    eps = sigma_p * rng.standard_normal((rows, n_feat, 3))
-    coeffs = sigma_n * rng.standard_normal((rows, n_feat, 2))
+    rows = _chunk_rows(n_features)
+    workers = _worker_count()
+    pending = deque()
+    with ThreadPoolExecutor(workers) as pool:
+        for i, child in enumerate(seed.spawn((trials + rows - 1) // rows)):
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(task, np.random.default_rng(child), min(rows, trials - i * rows)))
+        while pending:
+            yield pending.popleft().result()
+
+
+def _chunk_draws(rng, n_features: int, rows: int, sigma_p: float, sigma_n: float) -> tuple[Array, Array]:
+    """One chunk's noise: point noise eps (rows, N, 3) first, then tangent
+    coefficients (rows, N, 2)."""
+    eps = sigma_p * rng.standard_normal((rows, n_features, 3))
+    coeffs = sigma_n * rng.standard_normal((rows, n_features, 2))
+    return eps, coeffs
+
+
+def _noisy_vectors(points, normals, weights, t1, t2, eps, coeffs) -> Array:
+    """Noisy feature vectors, shape (rows, N, 6), for draws from _chunk_draws,
+    under the small-angle normal model n + cross(n, eta) of the closed-form
+    statistics."""
     eta = coeffs[..., 0:1] * t1 + coeffs[..., 1:2] * t2
     p_hat = points + eps
     n_hat = normals + np.cross(normals, eta)
     return weights[:, None] * np.concatenate([np.cross(p_hat, n_hat), n_hat], axis=-1)
-
-
-def _mc_chunks(
-    points: Array, normals: Array, weights: Array, sigma_p: float, sigma_n: float, trials: int, seed
-) -> Iterator[Array]:
-    """Noisy feature vectors for `trials` independent draws, one chunk at a
-    time; chunk i uses the i-th child of the SeedSequence seed, so chunk
-    evaluation order cannot change the result."""
-    t1, t2 = _tangent_basis(normals)
-    rows = _chunk_rows(points.shape[0])
-    done = 0
-    for child in seed.spawn((trials + rows - 1) // rows):
-        m = min(rows, trials - done)
-        rng = np.random.default_rng(child)
-        yield _noisy_vectors(rng, points, normals, weights, t1, t2, sigma_p, sigma_n, m)
-        done += m
 
 
 def mc_direction_stats(
@@ -320,28 +346,34 @@ def mc_direction_stats(
     points/normals are (N, 3) and weights (N,). All directions share the
     same draws. Normals are perturbed with the additive small-angle form,
     the model behind the closed-form statistics; the sampled vectors keep
-    the full nonlinear product of noisy point and noisy normal. Chunked
-    Welford accumulation.
+    the full nonlinear product of noisy point and noisy normal. Each chunk
+    of draws is evaluated in row blocks; chunk statistics are merged with
+    Welford's update in chunk order.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
-    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (points.shape[0],))
+    n_feat = points.shape[0]
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (n_feat,))
     dirs = np.asarray(directions, dtype=np.float64).reshape(6, -1)
-    chunks = _mc_chunks(
-        points, normals, weights, noise.sigma_p, noise.sigma_n, trials, np.random.SeedSequence(noise.seed)
-    )
+    t1, t2 = _tangent_basis(normals)
+    block = max(1, _BLOCK_ELEMENTS // max(n_feat * max(6, dirs.shape[1]), 1))
+
+    def chunk_stats(rng, m):
+        eps, coeffs = _chunk_draws(rng, n_feat, m, noise.sigma_p, noise.sigma_n)
+        vals = np.empty((m, dirs.shape[1]))
+        for a in range(0, m, block):
+            v = _noisy_vectors(points, normals, weights, t1, t2, eps[a : a + block], coeffs[a : a + block])
+            proj = v @ dirs  # (rows, N, D)
+            vals[a : a + block] = np.sum(proj * proj, axis=1)
+        c_mean = vals.mean(axis=0)
+        return m, c_mean, np.sum((vals - c_mean) ** 2, axis=0)
 
     count = 0
     mean = np.zeros(dirs.shape[1])
     m2 = np.zeros(dirs.shape[1])
-    for v in chunks:
-        m = v.shape[0]
-        proj = v @ dirs                      # (m, N, D)
-        vals = np.sum(proj * proj, axis=1)   # (m, D)
-        c_mean = vals.mean(axis=0)
-        c_m2 = np.sum((vals - c_mean) ** 2, axis=0)
+    for m, c_mean, c_m2 in _mc_chunks(chunk_stats, n_feat, trials, np.random.SeedSequence(noise.seed)):
         delta = c_mean - mean
         total = count + m
         mean = mean + delta * (m / total)
@@ -369,6 +401,8 @@ def spurious_info_demo(
     null-direction component of a standard solve with a 1e-9 ridge against
     the probabilistic solve at its default s.
     """
+    if trials < 1 or solve_trials < 1:
+        raise ValueError("trials and solve_trials must be >= 1")
     if sample.null_basis.shape[0] == 0:
         raise RequiresDegenerateScene("the scene has no degenerate direction")
     points, normals, offsets = sample.points, sample.normals, sample.offsets
@@ -381,10 +415,18 @@ def spurious_info_demo(
     root = np.random.SeedSequence(seed)
     ss_mean, ss_solve = root.spawn(2)
 
+    t1, t2 = _tangent_basis(normals)
+
+    # Whole chunks, not row blocks: splitting the einsum would change the
+    # rounding of its sum.
+    def chunk_moment(rng, m):
+        vv = _noisy_vectors(points, normals, weights, t1, t2, *_chunk_draws(rng, n_feat, m, 0.0, sigma_n))
+        return np.einsum("mni,mnj->ij", vv, vv)
+
     # Expectation identity by Monte Carlo (zero point noise).
     acc = np.zeros((6, 6))
-    for vv in _mc_chunks(points, normals, weights, 0.0, sigma_n, trials, ss_mean):
-        acc += np.einsum("mni,mnj->ij", vv, vv)
+    for part in _mc_chunks(chunk_moment, n_feat, trials, ss_mean):
+        acc += part
     mean_h = acc / trials
     # Gauge the identity error against the predicted inflation; fall back to
     # the Hessian scale when the predicted inflation is zero (zero noise).
@@ -396,7 +438,6 @@ def spurious_info_demo(
     # Paired solves on a subsample of the draws.
     m_solves = min(trials, solve_trials)
     solve_children = ss_solve.spawn(m_solves)
-    t1, t2 = _tangent_basis(normals)
     k_null = sample.null_basis.shape[0]
     abs_std = np.zeros(k_null)
     abs_prob = np.zeros(k_null)

@@ -86,3 +86,43 @@ def fail_after_first_call(extract_features):
         return extract_features(*args, **kwargs)
 
     return wrapped
+
+
+def sequential_mc_direction_stats(points, normals, weights, noise, directions, trials):
+    """Reference for mc_direction_stats: its chunks one after another in this
+    thread, each evaluated whole, with Welford's update in chunk order.
+
+    Uses the same chunk row count, seed spawning, draw order and arithmetic,
+    so the two agree bit for bit.
+    """
+    from degen_icp.simulation import _chunk_rows, _tangent_basis
+
+    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
+    n_feat = points.shape[0]
+    weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (n_feat,))
+    dirs = np.asarray(directions, dtype=np.float64).reshape(6, -1)
+    t1, t2 = _tangent_basis(normals)
+    rows = _chunk_rows(n_feat)
+    count = 0
+    mean = np.zeros(dirs.shape[1])
+    m2 = np.zeros(dirs.shape[1])
+    for child in np.random.SeedSequence(noise.seed).spawn((trials + rows - 1) // rows):
+        m = min(rows, trials - count)
+        rng = np.random.default_rng(child)
+        eps = noise.sigma_p * rng.standard_normal((m, n_feat, 3))
+        coeffs = noise.sigma_n * rng.standard_normal((m, n_feat, 2))
+        eta = coeffs[..., 0:1] * t1 + coeffs[..., 1:2] * t2
+        p_hat = points + eps
+        n_hat = normals + np.cross(normals, eta)
+        v = weights[:, None] * np.concatenate([np.cross(p_hat, n_hat), n_hat], axis=-1)
+        proj = v @ dirs
+        vals = np.sum(proj * proj, axis=1)
+        c_mean = vals.mean(axis=0)
+        c_m2 = np.sum((vals - c_mean) ** 2, axis=0)
+        delta = c_mean - mean
+        total = count + m
+        mean = mean + delta * (m / total)
+        m2 = m2 + c_m2 + delta**2 * (count * m / total)
+        count = total
+    return mean, m2 / (count - 1)

@@ -1,5 +1,9 @@
+import os
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import random_feature_arrays, sequential_mc_direction_stats
 
 from degen_icp import (
     InvalidDimensions,
@@ -14,7 +18,7 @@ from degen_icp import (
     noisy_feature_arrays,
     spurious_info_demo,
 )
-from degen_icp.simulation import _mc_chunks
+from degen_icp.simulation import _chunk_draws, _mc_chunks, _noisy_vectors, _tangent_basis
 
 ALL_KINDS = list(SceneKind)
 
@@ -112,8 +116,14 @@ class TestApplyNoise:
     def test_small_angle_model_norm_deviates_second_order(self):
         # The Monte Carlo oracle draws normals as n + cross(n, eta).
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=300, seed=18))
-        chunks = _mc_chunks(sample.points, sample.normals, np.ones(300), 0.0, 0.05, 1, np.random.SeedSequence(19))
-        norms = np.linalg.norm(next(chunks)[0, :, 3:], axis=1)
+        t1, t2 = _tangent_basis(sample.normals)
+
+        def vectors(rng, rows):
+            eps, coeffs = _chunk_draws(rng, 300, rows, 0.0, 0.05)
+            return _noisy_vectors(sample.points, sample.normals, np.ones(300), t1, t2, eps, coeffs)
+
+        (chunk,) = _mc_chunks(vectors, 300, 1, np.random.SeedSequence(19))
+        norms = np.linalg.norm(chunk[0, :, 3:], axis=1)
         assert norms.max() > 1.0
         assert abs(norms - 1.0).max() < 0.05  # ~ sigma_n^2 scale, far below sigma_n
 
@@ -184,6 +194,46 @@ class TestMcHessianStats:
         assert means[0] == pytest.approx(a[0], rel=1e-12)
         assert variances[0] == pytest.approx(a[1], rel=1e-12)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "features, trials",
+        # A partial last chunk; several row blocks per chunk with a partial
+        # last block (1000 features: 349-row chunks, 21-row blocks); the
+        # smallest trial count.
+        [(37, 12_345), (1_000, 5_001), (100, 2)],
+        ids=["partial-chunk", "partial-block", "two-trials"],
+    )
+    def test_matches_sequential_reference(self, monkeypatch, features, trials, workers):
+        rng = np.random.default_rng(features)
+        points, normals, _, weights, _, _ = random_feature_arrays(rng, features)
+        directions = rng.standard_normal((6, 4))
+        noise = NoiseSpec(0.01, 0.02, 39)
+        _force_workers(monkeypatch, workers)
+        got = mc_direction_stats(points, normals, weights, noise, directions, trials)
+        want = sequential_mc_direction_stats(points, normals, weights, noise, directions, trials)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
+    def test_peak_memory_is_bounded(self, monkeypatch):
+        # Each running chunk holds its draws, about 14 MB at 100 features, and
+        # one row block of work arrays; whole-chunk vectors took 112 MiB here.
+        # Two workers, so the bound does not depend on the host's core count.
+        sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=100, seed=40))
+        directions = np.random.default_rng(41).standard_normal((6, 10))
+        _force_workers(monkeypatch, 2)
+        tracemalloc.start()
+        try:
+            mc_direction_stats(sample.points, sample.normals, 1.0, NoiseSpec(0.01, 0.01, 42), directions, 20_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
+
+def _force_workers(monkeypatch, workers):
+    """Pin the Monte Carlo thread count by faking the affinity lookup."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+
 
 def _mc_one(points, normals, weights, noise, u, trials):
     """mc_direction_stats for a single direction, as scalars."""
@@ -204,6 +254,12 @@ class TestSpuriousInfoDemo:
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=200, seed=32))
         with pytest.raises(RequiresDegenerateScene):
             spurious_info_demo(sample, 0.01, 100)
+
+    @pytest.mark.parametrize("counts", [{"trials": 0}, {"trials": 100, "solve_trials": 0}], ids=["trials", "solve_trials"])
+    def test_rejects_zero_trials(self, counts):
+        sample = generate_scene(SceneSpec(SceneKind.INFINITE_PLANE, point_count=100, seed=35))
+        with pytest.raises(ValueError, match="must be >= 1"):
+            spurious_info_demo(sample, 0.01, **counts)
 
     def test_zero_noise_identity_is_exact(self):
         sample = generate_scene(SceneSpec(SceneKind.INFINITE_PLANE, point_count=300, seed=33))
