@@ -26,14 +26,12 @@ from .errors import (
 )
 from .geometry import (
     Pose,
-    Twist,
     compose,
     exp_se3,
     exp_so3,
     frame_change_matrix,
     inverse,
     skew,
-    skew_batch,
 )
 from .normals import fit_planes, normal_covariances
 from .registration import (

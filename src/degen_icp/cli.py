@@ -285,7 +285,7 @@ def cmd_register(args: argparse.Namespace) -> int:
         records.append(
             {
                 "iteration": i,
-                "twist": [float(v) for v in rec.update.twist.vector()],
+                "twist": [float(v) for v in rec.update.twist],
                 "attenuation": [float(v) for v in rec.update.probabilities],
                 "eigenvalues": [r.signal for r in rec.update.reports],
                 "probabilities": [r.probability for r in rec.update.reports],

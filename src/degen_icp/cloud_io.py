@@ -52,18 +52,22 @@ def _finite_points(path, data: Array) -> Array:
     return points
 
 
+def _cloud_columns(path, points, normals) -> tuple[list[str], Array]:
+    """Column names and rows: x y z, then nx ny nz when normals are given."""
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    if normals is None:
+        return ["x", "y", "z"], pts
+    nrm = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
+    if nrm.shape[0] != pts.shape[0]:
+        raise ValueError(f"{path}: normals count {nrm.shape[0]} != points count {pts.shape[0]}")
+    return ["x", "y", "z", "nx", "ny", "nz"], np.hstack([pts, nrm])
+
+
 def write_ply(path, points, normals=None) -> None:
     """ASCII PLY with double x y z and optional nx ny nz."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    lines = ["ply", "format ascii 1.0", f"element vertex {pts.shape[0]}"]
-    lines += [f"property double {c}" for c in "xyz"]
-    data = pts
-    if normals is not None:
-        nrm = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
-        if nrm.shape[0] != pts.shape[0]:
-            raise ValueError(f"{path}: normals count {nrm.shape[0]} != points count {pts.shape[0]}")
-        lines += [f"property double n{c}" for c in "xyz"]
-        data = np.hstack([pts, nrm])
+    names, data = _cloud_columns(path, points, normals)
+    lines = ["ply", "format ascii 1.0", f"element vertex {data.shape[0]}"]
+    lines += [f"property double {c}" for c in names]
     lines.append("end_header")
     lines += [_fmt_row(r) for r in data]
     Path(path).write_text("\n".join(lines) + "\n")
@@ -126,14 +130,8 @@ def read_ply(path) -> tuple[Array, Array | None]:
 
 def write_csv(path, points, normals=None) -> None:
     """CSV cloud with header, '.' decimal, no locale."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    header = "x,y,z"
-    data = pts
-    if normals is not None:
-        nrm = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
-        header += ",nx,ny,nz"
-        data = np.hstack([pts, nrm])
-    lines = [header] + [",".join(_FLOAT_FMT.format(float(v)) for v in row) for row in data]
+    names, data = _cloud_columns(path, points, normals)
+    lines = [",".join(names)] + [",".join(_FLOAT_FMT.format(float(v)) for v in row) for row in data]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

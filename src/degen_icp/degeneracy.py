@@ -23,7 +23,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import EmptyFeatureSet, NotUnitLength
-from .geometry import skew_batch
+from .geometry import skew
 
 __all__ = [
     "HessianBundle",
@@ -107,8 +107,8 @@ def accumulate_arrays(points, normals, offsets, weights, point_covs, normal_covs
     hessian = 0.5 * (hessian + hessian.T)
     rhs = vectors.T @ residuals
 
-    a = skew_batch(n)                       # normal skews
-    k = skew_batch(p) @ a                   # skew(p) @ skew(n)
+    a = skew(n)                 # normal skews
+    k = skew(p) @ a             # skew(p) @ skew(n)
     a_cn = a @ cn
     top_left = a @ cp @ np.swapaxes(a, 1, 2) + k @ cn @ np.swapaxes(k, 1, 2)
     top_right = k @ cn @ np.swapaxes(a, 1, 2)
@@ -144,8 +144,8 @@ def _direction_moments(bundle: HessianBundle, dirs: Array) -> tuple[Array, Array
 def direction_stats(bundle: HessianBundle, u) -> tuple[float, float]:
     """Mean and variance of the Hessian noise in unit direction u."""
     u = np.asarray(u, dtype=np.float64).reshape(6)
-    if abs(float(np.linalg.norm(u)) - 1.0) > _UNIT_TOL:
-        raise NotUnitLength("direction must be a unit 6-vector")
+    if not np.isfinite(u).all() or abs(float(np.linalg.norm(u)) - 1.0) > _UNIT_TOL:
+        raise NotUnitLength("direction must be a finite unit 6-vector")
     mu, sigma2 = _direction_moments(bundle, u[:, None])
     return float(mu[0]), float(sigma2[0])
 

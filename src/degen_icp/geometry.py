@@ -14,9 +14,7 @@ from numpy.typing import NDArray
 
 __all__ = [
     "Pose",
-    "Twist",
     "skew",
-    "skew_batch",
     "exp_so3",
     "exp_se3",
     "compose",
@@ -70,38 +68,9 @@ class Pose:
         return p @ self.rotation.T + self.translation
 
 
-@dataclass(frozen=True)
-class Twist:
-    """Small rigid perturbation [rot; trans], rotation block first."""
-
-    rot: Array
-    trans: Array
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rot", _as_vec3(self.rot))
-        object.__setattr__(self, "trans", _as_vec3(self.trans))
-
-    @staticmethod
-    def zero() -> "Twist":
-        return Twist(np.zeros(3), np.zeros(3))
-
-    @staticmethod
-    def from_vector(x) -> "Twist":
-        v = np.asarray(x, dtype=np.float64).reshape(6)
-        return Twist(v[:3], v[3:])
-
-    def vector(self) -> Array:
-        return np.concatenate([self.rot, self.trans])
-
-
 def skew(a) -> Array:
-    """Matrix [a]x with skew(a) @ b == cross(a, b)."""
-    x, y, z = _as_vec3(a)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
-def skew_batch(a) -> Array:
-    """skew() applied row-wise to an (N, 3) array, returning (N, 3, 3)."""
+    """Matrices [a]x with skew(a) @ b == cross(a, b), for a of shape (..., 3);
+    returns (..., 3, 3)."""
     a = np.asarray(a, dtype=np.float64)
     out = np.zeros(a.shape[:-1] + (3, 3))
     x, y, z = a[..., 0], a[..., 1], a[..., 2]
@@ -116,23 +85,13 @@ def skew_batch(a) -> Array:
 
 def exp_so3(r) -> Array:
     """Rodrigues rotation matrix for a rotation vector."""
-    r = _as_vec3(r)
-    theta = float(np.linalg.norm(r))
-    k = skew(r)
-    if theta < _SMALL_ANGLE:
-        return np.eye(3) + k + 0.5 * (k @ k)
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / theta**2
-    return np.eye(3) + a * k + b * (k @ k)
+    return exp_se3(np.concatenate([_as_vec3(r), np.zeros(3)])).rotation
 
 
 def exp_se3(x) -> Pose:
-    """Group element of a twist (Twist or length-6 array, [rot; trans])."""
-    if isinstance(x, Twist):
-        rot, trans = x.rot, x.trans
-    else:
-        v = np.asarray(x, dtype=np.float64).reshape(6)
-        rot, trans = v[:3], v[3:]
+    """Group element of a twist, a length-6 array [rot; trans]."""
+    v = np.asarray(x, dtype=np.float64).reshape(6)
+    rot, trans = v[:3], v[3:]
     theta = float(np.linalg.norm(rot))
     k = skew(rot)
     kk = k @ k

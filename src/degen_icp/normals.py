@@ -24,30 +24,26 @@ _COLLINEAR_RATIO = 1e-12
 
 @dataclass(frozen=True)
 class PlaneFitBatch:
-    """Vectorized fits for many neighborhoods; bad rows are flagged, not raised."""
+    """Vectorized fits for many neighborhoods; bad rows are flagged, not raised.
+
+    rotations holds each fit's eigenvectors as columns, in the order of the
+    descending eigenvalues; normals is the last column. Column signs are
+    whatever the eigensolver returns.
+    """
 
     normals: Array      # (M, 3)
-    centroids: Array    # (M, 3)
     eigenvalues: Array  # (M, 3) descending
     rotations: Array    # (M, 3, 3)
     collinear: Array    # (M,) bool
 
 
-def _fix_leading_signs(vecs: Array) -> Array:
-    """Flip eigenvector columns so the first nonzero entry is positive."""
-    comps = np.moveaxis(vecs, -2, -1)  # (..., col, entry)
-    nonzero = comps != 0.0
-    first = np.argmax(nonzero, axis=-1)
-    lead = np.take_along_axis(comps, first[..., None], axis=-1)[..., 0]
-    sign = np.where(lead < 0.0, -1.0, 1.0)
-    return vecs * sign[..., None, :]
-
-
 def fit_planes(neighbors) -> PlaneFitBatch:
     """Fit one plane per row of an (M, k, 3) neighborhood stack, k >= 3.
 
-    Normals are unoriented: the sign convention makes the first nonzero
-    component positive, and no result downstream depends on it.
+    Normals are unoriented and their signs are not normalized: no result
+    downstream reads them, because flipping a normal with its offset
+    negates a feature vector and its residual together, and the normal
+    covariance R diag(var) R^T ignores column signs.
     """
     pts = np.asarray(neighbors, dtype=np.float64)
     if pts.ndim != 3 or pts.shape[-1] != 3:
@@ -56,22 +52,15 @@ def fit_planes(neighbors) -> PlaneFitBatch:
     if k < 3:
         raise TooFewPoints(f"plane fit needs at least 3 points, got {k}")
 
-    centroids = pts.mean(axis=1)
-    centered = pts - centroids[:, None, :]
+    centered = pts - pts.mean(axis=1)[:, None, :]
     covs = np.einsum("mki,mkj->mij", centered, centered) / (k - 1)
 
     evals, evecs = np.linalg.eigh(covs)           # ascending
     evals = np.clip(evals[:, ::-1], 0.0, None)    # descending
     evecs = evecs[:, :, ::-1]
-    evecs = _fix_leading_signs(evecs)
-
-    # Right-handed frames: flip v2 where needed.
-    dets = np.linalg.det(evecs)
-    evecs[dets < 0.0, :, 1] *= -1.0
-    normals = evecs[:, :, 2].copy()
 
     collinear = evals[:, 1] <= _COLLINEAR_RATIO * evals[:, 0]
-    return PlaneFitBatch(normals, centroids, evals, evecs, collinear)
+    return PlaneFitBatch(evecs[:, :, 2], evals, evecs, collinear)
 
 
 def normal_covariances(

@@ -25,7 +25,7 @@ from .degeneracy import (
     accumulate_arrays,
 )
 from .errors import EmptyFeatureSet, NoCorrespondences, SingularHessian
-from .geometry import Pose, Twist, compose, exp_se3, frame_change_matrix
+from .geometry import Pose, compose, exp_se3, frame_change_matrix
 from .normals import fit_planes, normal_covariances
 
 __all__ = [
@@ -99,7 +99,7 @@ class UpdateSolution:
     frame the bundle was built in.
     """
 
-    twist: Twist
+    twist: Array  # (6,) [rot; trans]
     probabilities: Array
     reports: tuple[DirectionReport, ...]
     information: Array
@@ -223,7 +223,7 @@ def solve_update(bundle: HessianBundle, method: SolverMethod, sigma_r: float = 1
 
     info = (vecs * (gamma * vals)) @ vecs.T / sigma_r**2
     info = 0.5 * (info + info.T)
-    return UpdateSolution(Twist.from_vector(x), gamma, tuple(reports), info)
+    return UpdateSolution(x, gamma, tuple(reports), info)
 
 
 def extract_features(
@@ -327,8 +327,8 @@ def icp(source, target, init: Pose | None = None, config: IcpConfig | None = Non
             break
         sol = solve_update(bundle, cfg.method, sigma_r=cfg.sigma_r)
         pose = compose(pose, exp_se3(sol.twist))
-        step_rot = float(np.linalg.norm(sol.twist.rot))
-        step_trans = float(np.linalg.norm(sol.twist.trans))
+        step_rot = float(np.linalg.norm(sol.twist[:3]))
+        step_trans = float(np.linalg.norm(sol.twist[3:]))
         iterations.append(IterationRecord(sol, stats, step_rot, step_trans))
         info_local = sol.information
         if step_rot < cfg.rotation_tol and step_trans < cfg.translation_tol:

@@ -16,6 +16,7 @@ result is bit for bit the same for any worker count.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -50,9 +51,10 @@ Array = NDArray[np.float64]
 # trials share a seed stream. Each worker holds one chunk's draws, (rows, N, 5)
 # values or about 14 MB.
 _CHUNK_ELEMENTS = 2**21
-# Element budget per row block of a chunk in mc_direction_stats: bounds each
-# (rows, N, 6) and (rows, N, D) array built from the draws to about 1 MB.
-# Results do not depend on it.
+# Element budget per row block of a chunk: bounds each (rows, N, 6) and
+# (rows, N, D) array built from the draws to about 1 MB, so a worker holds
+# one chunk's draws and one block. mc_direction_stats results do not depend
+# on it; the summed moment of spurious_info_demo does, in its last bits.
 _BLOCK_ELEMENTS = 2**17
 
 
@@ -94,8 +96,8 @@ class SceneSpec:
                     f"unknown dimensions for {SceneKind(self.kind).value}: {sorted(unknown)}"
                 )
             defaults.update({k: float(v) for k, v in self.dimensions.items()})
-        if any(v <= 0.0 for v in defaults.values()):
-            raise InvalidDimensions(f"dimensions must be positive, got {defaults}")
+        if not all(0.0 < v < math.inf for v in defaults.values()):
+            raise InvalidDimensions(f"dimensions must be positive and finite, got {defaults}")
         return defaults
 
 
@@ -155,7 +157,7 @@ def generate_scene(spec: SceneSpec) -> SceneSample:
     """Sample points uniformly (by area) on the named surfaces.
 
     Deterministic for a given spec. Raises InvalidDimensions for nonpositive
-    dimensions or point_count < 6.
+    or non-finite dimensions or point_count < 6.
     """
     if spec.point_count < 6:
         raise InvalidDimensions(f"point_count must be >= 6, got {spec.point_count}")
@@ -289,6 +291,11 @@ def _chunk_rows(n_features: int) -> int:
     return max(1, _CHUNK_ELEMENTS // max(n_features * 6, 1))
 
 
+def _block_rows(n_features: int, width: int) -> int:
+    """Rows per block of a chunk whose arrays have shape (rows, N, width)."""
+    return max(1, _BLOCK_ELEMENTS // max(n_features * width, 1))
+
+
 def _worker_count() -> int:
     """Monte Carlo threads: the cores this process may run on."""
     try:
@@ -358,7 +365,7 @@ def mc_direction_stats(
     weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (n_feat,))
     dirs = np.asarray(directions, dtype=np.float64).reshape(6, -1)
     t1, t2 = _tangent_basis(normals)
-    block = max(1, _BLOCK_ELEMENTS // max(n_feat * max(6, dirs.shape[1]), 1))
+    block = _block_rows(n_feat, max(6, dirs.shape[1]))
 
     def chunk_stats(rng, m):
         eps, coeffs = _chunk_draws(rng, n_feat, m, noise.sigma_p, noise.sigma_n)
@@ -416,12 +423,15 @@ def spurious_info_demo(
     ss_mean, ss_solve = root.spawn(2)
 
     t1, t2 = _tangent_basis(normals)
+    block = _block_rows(n_feat, 6)
 
-    # Whole chunks, not row blocks: splitting the einsum would change the
-    # rounding of its sum.
     def chunk_moment(rng, m):
-        vv = _noisy_vectors(points, normals, weights, t1, t2, *_chunk_draws(rng, n_feat, m, 0.0, sigma_n))
-        return np.einsum("mni,mnj->ij", vv, vv)
+        eps, coeffs = _chunk_draws(rng, n_feat, m, 0.0, sigma_n)
+        part = np.zeros((6, 6))
+        for a in range(0, m, block):
+            vv = _noisy_vectors(points, normals, weights, t1, t2, eps[a : a + block], coeffs[a : a + block])
+            part += np.einsum("mni,mnj->ij", vv, vv)
+        return part
 
     # Expectation identity by Monte Carlo (zero point noise).
     acc = np.zeros((6, 6))
@@ -449,7 +459,7 @@ def spurious_info_demo(
         normal_covs = tangent_covariances(n_hat / np.linalg.norm(n_hat, axis=1, keepdims=True), sigma_n)
         bundle = accumulate_arrays(points, n_hat, offsets, weights, point_cov, normal_covs)
         x_std = np.linalg.solve(bundle.hessian + 1e-9 * np.eye(6), bundle.rhs)
-        x_prob = solve_update(bundle, Probabilistic()).twist.vector()
+        x_prob = solve_update(bundle, Probabilistic()).twist
         abs_std += np.abs(sample.null_basis @ x_std)
         abs_prob += np.abs(sample.null_basis @ x_prob)
 

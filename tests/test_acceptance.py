@@ -191,7 +191,7 @@ def test_criterion_05_longitudinal_attenuation_per_update():
         source = source_scene.points + 0.01 * rng.standard_normal(source_scene.points.shape)
         bundle, _ = extract_features(source, target.points, init, config)
 
-        x_prob = solve_update(bundle, Probabilistic(10.0)).twist.vector()
+        x_prob = solve_update(bundle, Probabilistic(10.0)).twist
         x_std = np.linalg.solve(bundle.hessian + 1e-9 * np.eye(6), bundle.rhs)
 
         def moved(x):

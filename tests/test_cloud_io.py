@@ -100,6 +100,13 @@ class TestPly:
             cloud_io.read_ply(path)
 
 
+@pytest.mark.parametrize("writer", [cloud_io.write_ply, cloud_io.write_csv], ids=["ply", "csv"])
+def test_writers_reject_mismatched_normals(cloud, writer):
+    tmp, points, normals = cloud
+    with pytest.raises(ValueError, match=r"normals count 39 != points count 40"):
+        writer(tmp / "c.out", points, normals[:-1])
+
+
 class TestCsv:
     def test_round_trip(self, cloud):
         tmp, points, normals = cloud

@@ -201,6 +201,8 @@ class TestDirectionStats:
         bundle = accumulate_arrays([[0, 0, 0]], EZ, 0.0, 1.0, ZERO3, ZERO3)
         with pytest.raises(NotUnitLength):
             direction_stats(bundle, np.ones(6))
+        with pytest.raises(NotUnitLength):
+            direction_stats(bundle, np.full(6, np.nan))
 
     def test_additivity_over_sublists(self):
         # Dyadic-valued features keep float sums exact.

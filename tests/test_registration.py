@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import fail_after_first_call, random_feature_arrays, rotation_angle
@@ -82,8 +84,8 @@ class TestSolveUpdate:
     def test_probabilistic_equals_standard_when_certain(self):
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=400, seed=0))
         bundle = accumulate_arrays(*noisy_feature_arrays(sample, NoiseSpec(0.0, 0.0, 0)))
-        x_std = solve_update(bundle, Standard()).twist.vector()
-        x_prob = solve_update(bundle, Probabilistic(10.0)).twist.vector()
+        x_std = solve_update(bundle, Standard()).twist
+        x_prob = solve_update(bundle, Probabilistic(10.0)).twist
         assert np.linalg.norm(x_prob - x_std) <= 1e-10 * max(np.linalg.norm(x_std), 1.0)
 
     def test_zero_probability_blocks_direction(self):
@@ -99,7 +101,7 @@ class TestSolveUpdate:
         bundle = accumulate_arrays(points, normals, offsets, weights, point_cov, normal_covs)
         sol = solve_update(bundle, Probabilistic(10.0))
         null = sample.null_basis[0]
-        assert abs(sol.twist.vector() @ null) <= 1e-12
+        assert abs(sol.twist @ null) <= 1e-12
 
     def test_standard_raises_on_singular(self):
         sample = generate_scene(SceneSpec(SceneKind.CORRIDOR, point_count=400, seed=2))
@@ -110,8 +112,8 @@ class TestSolveUpdate:
     def test_eigen_truncate_zero_threshold_equals_standard(self):
         rng = np.random.default_rng(3)
         bundle = accumulate_arrays(*random_feature_arrays(rng, 60, on_plane=False))
-        x_std = solve_update(bundle, Standard()).twist.vector()
-        x_tr = solve_update(bundle, EigenTruncate(0.0)).twist.vector()
+        x_std = solve_update(bundle, Standard()).twist
+        x_tr = solve_update(bundle, EigenTruncate(0.0)).twist
         assert np.linalg.norm(x_tr - x_std) <= 1e-10 * np.linalg.norm(x_std)
 
     def test_truncating_methods_zero_dropped_components(self):
@@ -121,7 +123,7 @@ class TestSolveUpdate:
         lam_min = float(vals[3])  # strict threshold: drops components 4..6
         for method in (EigenTruncate(lam_min), SolutionRemap(lam_min)):
             sol = solve_update(bundle, method)
-            x = sol.twist.vector()
+            x = sol.twist
             for k in range(3, 6):
                 assert abs(vecs[:, k] @ x) <= 1e-12 * max(np.linalg.norm(x), 1.0)
             np.testing.assert_array_equal(sol.probabilities, [1, 1, 1, 0, 0, 0])
@@ -143,8 +145,8 @@ class TestSolveUpdate:
         sol_prob = solve_update(bundle, Probabilistic(10.0))
         p = sol_prob.probabilities
         for k in range(6):
-            lhs = abs(vecs[:, k] @ sol_prob.twist.vector())
-            rhs = p[k] * abs(vecs[:, k] @ sol_std.twist.vector())
+            lhs = abs(vecs[:, k] @ sol_prob.twist)
+            rhs = p[k] * abs(vecs[:, k] @ sol_std.twist)
             assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-15)
 
     def test_regularized_least_squares_equivalence(self):
@@ -182,7 +184,7 @@ class TestSolveUpdate:
             ),
             Probabilistic(10.0),
         )
-        np.testing.assert_allclose(a.twist.vector(), b.twist.vector(), rtol=1e-10, atol=1e-14)
+        np.testing.assert_allclose(a.twist, b.twist, rtol=1e-10, atol=1e-14)
 
 
 class TestInformationMatrix:
@@ -209,6 +211,33 @@ class TestInformationMatrix:
         assert ((probs > 0.01) & (probs < 0.99)).any()
         expected = sum(r.probability * r.signal * np.outer(r.direction, r.direction) for r in sol.reports)
         np.testing.assert_allclose(sol.information, expected / 0.015**2, rtol=1e-10, atol=1e-10)
+
+
+class TestExtractFeatures:
+    def test_fit_signs_do_not_matter(self, monkeypatch):
+        # Plane fits leave eigenvector signs to the eigensolver: flipping any
+        # column, the normal with its offset, must change no accumulated bit.
+        target = generate_scene(SceneSpec(SceneKind.ROOM, point_count=1500, seed=23))
+        rng = np.random.default_rng(24)
+        source = target.points + 0.01 * rng.standard_normal(target.points.shape)
+        init = Pose(exp_so3([0.01, -0.01, 0.02]), [0.04, -0.03, 0.03])
+        want, want_stats = extract_features(source, target.points, init, IcpConfig())
+
+        fit_planes = registration.fit_planes
+
+        def flipped_fit_planes(neighbors):
+            batch = fit_planes(neighbors)
+            signs = rng.choice([-1.0, 1.0], size=(batch.rotations.shape[0], 1, 3))
+            rotations = batch.rotations * signs
+            return dataclasses.replace(batch, normals=rotations[:, :, 2], rotations=rotations)
+
+        monkeypatch.setattr(registration, "fit_planes", flipped_fit_planes)
+        got, got_stats = extract_features(source, target.points, init, IcpConfig())
+        for name in ("hessian", "rhs", "sigma_total", "covariances"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(np.abs(got.vectors), np.abs(want.vectors))
+        assert not np.array_equal(got.vectors, want.vectors)
+        assert got_stats == want_stats
 
 
 class TestIcp:

@@ -79,6 +79,9 @@ class TestGenerateScene:
             generate_scene(SceneSpec(SceneKind.ROOM, {"radius": 1.0}, 100, 0))
         with pytest.raises(InvalidDimensions):
             generate_scene(SceneSpec(SceneKind.ROOM, None, 4, 0))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidDimensions):
+                generate_scene(SceneSpec(SceneKind.ROOM, {"width": bad}, 100, 0))
 
     def test_true_planes_deduplicated_for_flat_scenes(self):
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=500, seed=9))
@@ -260,6 +263,20 @@ class TestSpuriousInfoDemo:
         sample = generate_scene(SceneSpec(SceneKind.INFINITE_PLANE, point_count=100, seed=35))
         with pytest.raises(ValueError, match="must be >= 1"):
             spurious_info_demo(sample, 0.01, **counts)
+
+    def test_peak_memory_is_bounded(self, monkeypatch):
+        # Each running chunk holds its draws and one row block of vectors;
+        # whole-chunk vectors took 139 MiB here. Two workers, so the bound
+        # does not depend on the host's core count.
+        sample = generate_scene(SceneSpec(SceneKind.INFINITE_PLANE, point_count=800, seed=37))
+        _force_workers(monkeypatch, 2)
+        tracemalloc.start()
+        try:
+            spurious_info_demo(sample, 0.01, 2_000, solve_trials=1, seed=38)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_zero_noise_identity_is_exact(self):
         sample = generate_scene(SceneSpec(SceneKind.INFINITE_PLANE, point_count=300, seed=33))
