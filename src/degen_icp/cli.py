@@ -34,7 +34,6 @@ from .registration import (
     EigenTruncate,
     IcpConfig,
     Probabilistic,
-    SolutionRemap,
     Standard,
     extract_features,
     icp,
@@ -55,7 +54,8 @@ _SOLVERS = {
     "standard": lambda args: Standard(),
     "probabilistic": lambda args: Probabilistic(args.s),
     "eigen-truncate": lambda args: EigenTruncate(args.lambda_min),
-    "solution-remap": lambda args: SolutionRemap(args.lambda_min),
+    # Remapping the full solution onto eigenvalues above lambda_min is truncation for a linear step.
+    "solution-remap": lambda args: EigenTruncate(args.lambda_min),
     "cond-number": lambda args: ConditionNumber(args.kappa_max),
 }
 

@@ -80,7 +80,7 @@ def read_ply(path) -> tuple[Array, Array | None]:
     are present; other scalar vertex properties are read and ignored, and a
     vertex list property is rejected. Returns (points, normals or None).
     """
-    text = Path(path).read_text().splitlines()
+    text = Path(path).read_text(encoding="utf-8-sig").splitlines()
     if not text or text[0].strip() != "ply":
         raise ValueError(f"{path}: not a PLY file")
     props: list[str] = []
@@ -136,7 +136,9 @@ def write_csv(path, points, normals=None) -> None:
 
 
 def read_csv(path) -> tuple[Array, Array | None]:
-    lines = Path(path).read_text().splitlines()
+    """CSV cloud with an x,y,z header, optionally followed by nx,ny,nz; a
+    leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped."""
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty CSV")
     header = [h.strip() for h in lines[0].split(",")]
@@ -148,13 +150,15 @@ def read_csv(path) -> tuple[Array, Array | None]:
 
 
 def load_cloud(path) -> tuple[Array, Array | None]:
-    """Dispatch on extension: .ply or .csv."""
+    """Dispatch on extension, .ply or .csv, and reject a cloud without points."""
     suffix = Path(path).suffix.lower()
-    if suffix == ".ply":
-        return read_ply(path)
-    if suffix == ".csv":
-        return read_csv(path)
-    raise ValueError(f"{path}: unsupported cloud format {suffix!r}")
+    readers = {".ply": read_ply, ".csv": read_csv}
+    if suffix not in readers:
+        raise ValueError(f"{path}: unsupported cloud format {suffix!r}")
+    points, normals = readers[suffix](path)
+    if points.shape[0] == 0:
+        raise ValueError(f"{path}: cloud has no points")
+    return points, normals
 
 
 def write_pose(path, matrix) -> None:
@@ -164,8 +168,8 @@ def write_pose(path, matrix) -> None:
 
 
 def read_pose(path) -> Array:
-    """A rigid 4x4 pose: bottom row 0 0 0 1 and a rotation block R with
-    R^T R = I and det R = 1, each to 1e-6."""
+    """A rigid 4x4 pose of finite entries: bottom row 0 0 0 1 and a rotation
+    block R with R^T R = I and det R = 1, each to 1e-6."""
     try:
         vals = [float(v) for v in Path(path).read_text().split()]
     except ValueError as exc:
@@ -173,6 +177,8 @@ def read_pose(path) -> Array:
     if len(vals) != 16:
         raise ValueError(f"{path}: expected 16 numbers, got {len(vals)}")
     m = np.asarray(vals, dtype=np.float64).reshape(4, 4)
+    if not np.isfinite(m).all():
+        raise ValueError(f"{path}: non-finite (NaN or inf) pose entries")
     rot = m[:3, :3]
     off = [np.abs(m[3] - [0, 0, 0, 1]).max(), np.abs(rot.T @ rot - np.eye(3)).max(), abs(np.linalg.det(rot) - 1)]
     if not max(off) <= 1e-6:

@@ -1,11 +1,13 @@
 """Point-to-plane ICP with pluggable update rules.
 
 The update step solves the linearized point-to-plane system in the sensor
-frame. Besides the standard Gauss-Newton solve, the eigencomponents of the
-update can be gated: probabilistically (scaled by the probability that each
-direction carries real signal), by an eigenvalue threshold with a hard
-indicator, by projecting the full solution onto retained eigenvectors, or by
-a condition-number cutoff.
+frame as U diag(gamma_k / lambda_k) U^T g, and each update rule only picks
+the attenuation gamma: ones for the standard Gauss-Newton solve, the
+probability that each direction carries real signal, or a 0/1 indicator from
+an eigenvalue threshold or a condition-number cutoff. Solution remapping
+(projecting the full solution onto the retained eigenvectors) is the
+eigenvalue-threshold rule, since for a linear step U diag(m) U^T H^-1 g =
+U diag(m / lambda) U^T g.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ __all__ = [
     "Standard",
     "Probabilistic",
     "EigenTruncate",
-    "SolutionRemap",
     "ConditionNumber",
     "SolverMethod",
     "UpdateSolution",
@@ -72,20 +73,13 @@ class EigenTruncate:
 
 
 @dataclass(frozen=True)
-class SolutionRemap:
-    """Solve the full system, then project onto eigenvectors above lambda_min."""
-
-    lambda_min: float
-
-
-@dataclass(frozen=True)
 class ConditionNumber:
     """Drop eigencomponents whose condition number exceeds kappa_max."""
 
     kappa_max: float
 
 
-SolverMethod = Union[Standard, Probabilistic, EigenTruncate, SolutionRemap, ConditionNumber]
+SolverMethod = Union[Standard, Probabilistic, EigenTruncate, ConditionNumber]
 
 
 @dataclass(frozen=True)
@@ -195,32 +189,21 @@ def solve_update(bundle: HessianBundle, method: SolverMethod, sigma_r: float = 1
     vals, vecs = _eigh_descending(bundle.hessian)
     snr = method.s if isinstance(method, Probabilistic) else Probabilistic.s
     reports = _direction_reports(bundle, vals, vecs, snr)
-    rhs = bundle.rhs
 
     if isinstance(method, Standard):
         if vals[-1] <= _SINGULAR_EIG:
             raise SingularHessian(f"smallest eigenvalue {vals[-1]:.3e} <= {_SINGULAR_EIG:.0e}")
         gamma = np.ones(6)
-        x = vecs @ ((vecs.T @ rhs) / vals)
     elif isinstance(method, Probabilistic):
         gamma = np.array([r.probability for r in reports])
-        x = _gated_solve(vals, vecs, rhs, gamma)
     elif isinstance(method, EigenTruncate):
         gamma = (vals > method.lambda_min).astype(np.float64)
-        x = _gated_solve(vals, vecs, rhs, gamma)
     elif isinstance(method, ConditionNumber):
         gamma = ((vals > 0.0) & (vals * method.kappa_max >= vals[0])).astype(np.float64)
-        x = _gated_solve(vals, vecs, rhs, gamma)
-    elif isinstance(method, SolutionRemap):
-        try:
-            x_full = np.linalg.solve(bundle.hessian, rhs)
-        except np.linalg.LinAlgError:
-            x_full = np.linalg.lstsq(bundle.hessian, rhs, rcond=None)[0]
-        gamma = (vals > method.lambda_min).astype(np.float64)
-        x = vecs @ (gamma * (vecs.T @ x_full))
     else:
         raise TypeError(f"unknown solver method: {method!r}")
 
+    x = _gated_solve(vals, vecs, bundle.rhs, gamma)
     info = (vecs * (gamma * vals)) @ vecs.T / sigma_r**2
     info = 0.5 * (info + info.T)
     return UpdateSolution(x, gamma, tuple(reports), info)

@@ -36,6 +36,18 @@ def test_public_definitions_listed(name):
     assert not unlisted, f"degen_icp.{name} defines public names missing from __all__: {unlisted}"
 
 
+def test_package_exports_module_names():
+    # cloud_io stays a submodule, like cli.
+    missing = [
+        f"{name}.{attr}"
+        for name in LISTING
+        if name != "cloud_io"
+        for attr in importlib.import_module(f"degen_icp.{name}").__all__
+        if not hasattr(degen_icp, attr)
+    ]
+    assert not missing, f"public names degen_icp does not export: {missing}"
+
+
 def test_errors_are_raised():
     source = "\n".join(path.read_text() for path in Path(degen_icp.__file__).parent.glob("*.py"))
     raised = set(re.findall(r"\braise\s+(\w+)", source))

@@ -149,6 +149,29 @@ class TestRegister:
         longitudinal = {k: abs(v[3]) for k, v in twists.items()}
         assert longitudinal["standard"] >= 10.0 * longitudinal["probabilistic"]
 
+    def test_solution_remap_is_eigen_truncate(self, tmp_path):
+        # Projecting the full solution onto the eigenvectors above lambda_min
+        # is truncation for a linear step: the same rule, the same bytes.
+        assert _run("simulate", "--kind", "corridor", "--seed", 7, "--points", 1500, "--out", tmp_path) == 0
+        init = tmp_path / "init.txt"
+        m = np.eye(4)
+        m[0, 3] = 0.2
+        cloud_io.write_pose(init, m)
+        outs = {}
+        for method in ("eigen-truncate", "solution-remap"):
+            outs[method] = tmp_path / method
+            assert _run(
+                "register", "--source", tmp_path / "noisy.ply", "--target", tmp_path / "clean.ply",
+                "--init", init, "--method", method, "--lambda-min", 20, "--out", outs[method],
+            ) == 0
+        truncate, remap = outs["eigen-truncate"], outs["solution-remap"]
+        assert 0.0 in cloud_io.read_jsonl(truncate / "iterations.jsonl")[0]["attenuation"]
+        for name in ("pose.txt", "information.txt", "iterations.jsonl"):
+            assert (truncate / name).read_bytes() == (remap / name).read_bytes(), name
+        summary = json.loads((truncate / "summary.json").read_text())
+        assert summary["method"] == "eigen-truncate"
+        assert json.loads((remap / "summary.json").read_text()) == {**summary, "method": "solution-remap"}
+
     def test_no_correspondences_exit_code(self, tmp_path):
         rng = np.random.default_rng(0)
         src = rng.uniform(-1, 1, (30, 3))
@@ -330,6 +353,35 @@ class TestConfigAndErrors:
         assert _register_with_init(tmp_path, matrix, "--out", tmp_path / "o") == 1
         err = capsys.readouterr().err
         assert "init.txt" in err and "not a rigid pose" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            "nan 0 0 0  0 1 0 0  0 0 1 0  0 0 0 1",
+            "1 0 0 nan  0 1 0 0  0 0 1 0  0 0 0 1",
+            "1 0 0 0  0 1 0 inf  0 0 1 0  0 0 0 1",
+        ],
+        ids=["nan_rotation", "nan_translation", "inf_translation"],
+    )
+    def test_non_finite_init_names_file(self, tmp_path, capsys, matrix):
+        assert _register_with_init(tmp_path, matrix, "--out", tmp_path / "o") == 1
+        err = capsys.readouterr().err
+        assert "init.txt" in err and "non-finite" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["register", "detect"])
+    def test_empty_cloud_names_file(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty.ply"
+        cloud_io.write_ply(empty, np.zeros((0, 3)))
+        cloud_io.write_ply(tmp_path / "c.ply", np.random.default_rng(0).uniform(-1, 1, (30, 3)))
+        if command == "register":
+            argv = ("register", "--source", tmp_path / "c.ply", "--target", empty, "--out", tmp_path / "o")
+        else:
+            argv = ("detect", "--cloud", empty, "--out", tmp_path / "o")
+        assert _run(*argv) == 1
+        err = capsys.readouterr().err
+        assert "empty.ply" in err and "no points" in err
         assert not (tmp_path / "o").exists()
 
     def test_config_range_error_names_file_and_key(self, tmp_path, capsys):

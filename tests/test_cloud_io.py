@@ -107,6 +107,18 @@ def test_writers_reject_mismatched_normals(cloud, writer):
         writer(tmp / "c.out", points, normals[:-1])
 
 
+@pytest.mark.parametrize("fmt", ["ply", "csv"])
+def test_reads_utf8_byte_order_mark(cloud, fmt):
+    # Spreadsheet "CSV UTF-8" exports start with a byte-order mark.
+    tmp, points, normals = cloud
+    path = tmp / f"c.{fmt}"
+    (cloud_io.write_ply if fmt == "ply" else cloud_io.write_csv)(path, points, normals)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    rp, rn = cloud_io.load_cloud(path)
+    np.testing.assert_allclose(rp, points, atol=1e-6)
+    np.testing.assert_allclose(rn, normals, atol=1e-6)
+
+
 class TestCsv:
     def test_round_trip(self, cloud):
         tmp, points, normals = cloud

@@ -15,7 +15,6 @@ from degen_icp import (
     SceneKind,
     SceneSpec,
     SingularHessian,
-    SolutionRemap,
     Standard,
     accumulate_arrays,
     attenuated_update,
@@ -114,19 +113,18 @@ class TestSolveUpdate:
         bundle = accumulate_arrays(*random_feature_arrays(rng, 60, on_plane=False))
         x_std = solve_update(bundle, Standard()).twist
         x_tr = solve_update(bundle, EigenTruncate(0.0)).twist
-        assert np.linalg.norm(x_tr - x_std) <= 1e-10 * np.linalg.norm(x_std)
+        assert np.array_equal(x_tr, x_std)
 
     def test_truncating_methods_zero_dropped_components(self):
         rng = np.random.default_rng(4)
         bundle = accumulate_arrays(*random_feature_arrays(rng, 60, on_plane=False))
         vals, vecs = _eigh_descending(bundle.hessian)
         lam_min = float(vals[3])  # strict threshold: drops components 4..6
-        for method in (EigenTruncate(lam_min), SolutionRemap(lam_min)):
-            sol = solve_update(bundle, method)
-            x = sol.twist
-            for k in range(3, 6):
-                assert abs(vecs[:, k] @ x) <= 1e-12 * max(np.linalg.norm(x), 1.0)
-            np.testing.assert_array_equal(sol.probabilities, [1, 1, 1, 0, 0, 0])
+        sol = solve_update(bundle, EigenTruncate(lam_min))
+        x = sol.twist
+        for k in range(3, 6):
+            assert abs(vecs[:, k] @ x) <= 1e-12 * max(np.linalg.norm(x), 1.0)
+        np.testing.assert_array_equal(sol.probabilities, [1, 1, 1, 0, 0, 0])
 
     def test_condition_number_gating(self):
         rng = np.random.default_rng(5)
@@ -299,6 +297,20 @@ class TestIcp:
         m = frame_change_matrix(result.pose)
         local = result.iterations[-1].update.information
         np.testing.assert_allclose(result.information, m @ local @ m.T, rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: more data must never give a worse answer (fixed k_neighbors=5 at 20k points)"
+    )
+    def test_denser_room_converges(self):
+        # The 2,000-point room converges in 3 iterations; at 20,000 points
+        # few plane fits pass sigma_n_max and the run hits max-iterations.
+        sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=20000, seed=22))
+        source = noisy_feature_arrays(sample, NoiseSpec(0.01, 0.01, 23))[0]
+        result = icp(source, sample.points, None, IcpConfig())
+        assert result.converged
+        assert np.linalg.norm(result.pose.translation) < 0.005
+        assert np.degrees(rotation_angle(result.pose.rotation)) < 0.1
 
     def test_extract_features_counters(self):
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=800, seed=20))
