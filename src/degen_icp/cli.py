@@ -90,7 +90,7 @@ def _read_config(path: Path) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path}: top level must be an object")
     version = raw.pop("version", None)
-    if version != _SCHEMA_VERSION:
+    if type(version) is not int or version != _SCHEMA_VERSION:
         raise ConfigError(f"config {path}: unsupported version {version!r} (expected {_SCHEMA_VERSION})")
     groups = {key.partition(".")[0] for key in _FILE_KEYS if "." in key}
     settings = {}
@@ -250,8 +250,7 @@ def _detect_reports(args: argparse.Namespace):
         points, _ = cloud_io.load_cloud(args.cloud)
     else:
         sample = generate_scene(_scene_spec(args))
-        rng = np.random.default_rng(args.seed + 1)
-        points = sample.points + args.sigma_p * rng.standard_normal(sample.points.shape)
+        points = noisy_feature_arrays(sample, NoiseSpec(args.sigma_p, 0.0, args.seed + 1))[0]
     bundle, stats = extract_features(points, points, Pose.identity(), _icp_config(args))
     return analyze(bundle, args.s), stats
 

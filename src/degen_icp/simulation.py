@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -29,7 +28,7 @@ from numpy.typing import NDArray
 
 from .degeneracy import accumulate_arrays
 from .errors import InvalidDimensions, RequiresDegenerateScene
-from .registration import Probabilistic, solve_update
+from .registration import Probabilistic, attenuated_update, solve_update
 
 __all__ = [
     "SceneKind",
@@ -310,19 +309,14 @@ def _mc_chunks(task, n_features: int, trials: int, seed: np.random.SeedSequence)
 
     Chunk i draws from the i-th child of seed, and every chunk but the last
     has _chunk_rows(n_features) rows, so the results do not depend on the
-    worker count. Chunks run on a pool of _worker_count() threads, with at
-    most two chunks per worker in flight.
+    worker count. Chunks run on a pool of _worker_count() threads; each task
+    builds its own generator, and an exception in a task is raised from the
+    iterator at that chunk.
     """
     rows = _chunk_rows(n_features)
-    workers = _worker_count()
-    pending = deque()
-    with ThreadPoolExecutor(workers) as pool:
-        for i, child in enumerate(seed.spawn((trials + rows - 1) // rows)):
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(task, np.random.default_rng(child), min(rows, trials - i * rows)))
-        while pending:
-            yield pending.popleft().result()
+    sizes = [min(rows, trials - start) for start in range(0, trials, rows)]
+    with ThreadPoolExecutor(_worker_count()) as pool:
+        yield from pool.map(lambda child, m: task(np.random.default_rng(child), m), seed.spawn(len(sizes)), sizes)
 
 
 def _chunk_draws(rng, n_features: int, rows: int, sigma_p: float, sigma_n: float) -> tuple[Array, Array]:
@@ -404,9 +398,9 @@ def spurious_info_demo(
     H_N = sigma_n^2 * sum_i F_i (I - n n^T) F_i^T, F_i = [skew(p_i); I] w_i,
     the sigma_total of the noise-free features.
     The demo checks that identity by Monte Carlo over `trials` draws, then
-    compares, over min(trials, solve_trials) paired draws, the mean absolute
-    null-direction component of a standard solve with a 1e-9 ridge against
-    the probabilistic solve at its default s.
+    compares, over min(trials, solve_trials) noisy_feature_arrays draws, the
+    mean absolute null-direction component of the standard solve (the gated
+    solve with unit attenuation) against the probabilistic solve at its default s.
     """
     if trials < 1 or solve_trials < 1:
         raise ValueError("trials and solve_trials must be >= 1")
@@ -445,20 +439,14 @@ def spurious_info_demo(
         denom = max(np.linalg.norm(hessian), np.finfo(float).tiny)
     rel_err = float(np.linalg.norm(mean_h - (hessian + h_noise)) / denom)
 
-    # Paired solves on a subsample of the draws.
+    # Paired solves, each on its own draw seeded from the solve stream.
     m_solves = min(trials, solve_trials)
-    solve_children = ss_solve.spawn(m_solves)
     k_null = sample.null_basis.shape[0]
     abs_std = np.zeros(k_null)
     abs_prob = np.zeros(k_null)
-    for i in range(m_solves):
-        rng = np.random.default_rng(solve_children[i])
-        coeffs = sigma_n * rng.standard_normal((n_feat, 2))
-        eta = coeffs[:, 0:1] * t1 + coeffs[:, 1:2] * t2
-        n_hat = normals + np.cross(normals, eta)
-        normal_covs = tangent_covariances(n_hat / np.linalg.norm(n_hat, axis=1, keepdims=True), sigma_n)
-        bundle = accumulate_arrays(points, n_hat, offsets, weights, point_cov, normal_covs)
-        x_std = np.linalg.solve(bundle.hessian + 1e-9 * np.eye(6), bundle.rhs)
+    for solve_seed in ss_solve.generate_state(m_solves):
+        bundle = accumulate_arrays(*noisy_feature_arrays(sample, NoiseSpec(0.0, sigma_n, int(solve_seed))))
+        x_std = attenuated_update(bundle.hessian, bundle.rhs, np.ones(6))
         x_prob = solve_update(bundle, Probabilistic()).twist
         abs_std += np.abs(sample.null_basis @ x_std)
         abs_prob += np.abs(sample.null_basis @ x_prob)

@@ -1,15 +1,17 @@
 import argparse
 import dataclasses
 import importlib
+import importlib.util
 import inspect
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import degen_icp
-from degen_icp import IcpConfig, cli, errors
+from degen_icp import IcpConfig, cli, cloud_io, errors, registration
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(degen_icp.__path__))
 LISTING = [name for name in MODULES if hasattr(importlib.import_module(f"degen_icp.{name}"), "__all__")]
@@ -67,3 +69,18 @@ def test_icp_config_fields_settable():
     register = commands.choices["register"]
     unsettable = [f.name for f in dataclasses.fields(IcpConfig) if register.get_default(f.name) is None]
     assert not unsettable, f"IcpConfig fields register cannot set: {unsettable}"
+
+
+def test_benchmark_tracer_installs(monkeypatch):
+    """The benchmark's tracer replaces package names by attribute; a rename it
+    does not follow must fail here, not only in traced benchmark runs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclass resolves the module by name
+    spec.loader.exec_module(tracing)
+    modules = (cli, cloud_io, registration)
+    before = [dict(vars(module)) for module in modules]
+    restore = tracing.Tracer().install()
+    restore()
+    assert [dict(vars(module)) for module in modules] == before

@@ -21,6 +21,11 @@ def _read_probs(path):
     return [r["probability"] for r in cloud_io.read_jsonl(path)]
 
 
+def _features_line(stdout):
+    (line,) = [line for line in stdout.splitlines() if line.startswith("features: used")]
+    return line
+
+
 class TestSimulate:
     def test_deterministic_bytes(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -91,6 +96,22 @@ class TestDetect:
         assert _run("detect", "--cloud", tmp_path / "noisy.ply", "--out", tmp_path / "d") == 0
         probs = _read_probs(tmp_path / "d" / "detect.jsonl")
         assert sum(p < 0.01 for p in probs) == 1
+
+    @pytest.mark.parametrize("kind", ["room", "corridor"])
+    def test_scene_matches_simulated_cloud(self, tmp_path, capsys, kind):
+        # Both commands add point noise from seed + 1, so a generated scene and
+        # simulate's noisy.ply give the same report up to the PLY's decimals.
+        scene = ("--kind", kind, "--seed", 5, "--points", 1500)
+        assert _run("detect", *scene, "--out", tmp_path / "scene") == 0
+        scene_used = _features_line(capsys.readouterr().out)
+        assert _run("simulate", *scene, "--out", tmp_path / "sim") == 0
+        capsys.readouterr()
+        assert _run("detect", "--cloud", tmp_path / "sim" / "noisy.ply", "--out", tmp_path / "cloud") == 0
+        assert _features_line(capsys.readouterr().out) == scene_used
+        eigenvalues = [
+            [r["eigenvalue"] for r in cloud_io.read_jsonl(tmp_path / d / "detect.jsonl")] for d in ("scene", "cloud")
+        ]
+        np.testing.assert_allclose(eigenvalues[1], eigenvalues[0], rtol=1e-6)
 
 
 class TestRegister:
@@ -292,10 +313,13 @@ class TestConfigAndErrors:
         assert _run("simulate", "--config", path, "--kind", "room", "--out", out2) == 0
         assert json.loads((out2 / "manifest.json").read_text())["kind"] == "room"
 
-    def test_bad_config_version(self, tmp_path):
+    def test_bad_config_version(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"version": 99}))
-        assert _run("simulate", "--config", path) == 2
+        # true and 1.0 compare equal to 1 in Python; only the integer 1 is version 1.
+        for version in (99, True, 1.0):
+            path.write_text(json.dumps({"version": version}))
+            assert _run("simulate", "--config", path) == 2
+            assert f"unsupported version {version!r} (expected 1)" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -1,4 +1,5 @@
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -231,6 +232,37 @@ class TestMcHessianStats:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+class TestMcChunks:
+    # 2**21 features make every chunk a single row, so `trials` is the chunk count.
+    N_FEATURES = 2**21
+
+    def test_results_in_chunk_order(self, monkeypatch):
+        # Earlier chunks sleep longer, so on two workers they finish last.
+        chunks = 4
+        first_draws = [np.random.default_rng(c).random() for c in np.random.SeedSequence(43).spawn(chunks)]
+
+        def task(rng, rows):
+            draw = rng.random()
+            time.sleep(0.05 * (chunks - first_draws.index(draw)))
+            return rows, draw
+
+        _force_workers(monkeypatch, 2)
+        got = list(_mc_chunks(task, self.N_FEATURES, chunks, np.random.SeedSequence(43)))
+        assert got == [(1, draw) for draw in first_draws]
+
+    def test_task_error_is_raised(self, monkeypatch):
+        fail_on = np.random.default_rng(np.random.SeedSequence(44).spawn(3)[1]).random()
+
+        def task(rng, rows):
+            if rng.random() == fail_on:
+                raise ValueError("chunk 1 failed")
+            return rows
+
+        _force_workers(monkeypatch, 2)
+        with pytest.raises(ValueError, match="chunk 1 failed"):
+            list(_mc_chunks(task, self.N_FEATURES, 3, np.random.SeedSequence(44)))
 
 
 def _force_workers(monkeypatch, workers):
