@@ -8,6 +8,7 @@ no timestamps.
 from __future__ import annotations
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,11 +39,23 @@ def _fmt_row(row) -> str:
 
 
 def _parse_rows(path, lines, sep, width: int) -> Array:
+    """One row of width floats per line; sep None splits on whitespace."""
+    if not lines:
+        return np.empty((0, width))
     try:
-        rows = [list(map(float, line.split(sep))) for line in lines]
-        return np.asarray(rows, dtype=np.float64).reshape(len(rows), width)
+        with warnings.catch_warnings():
+            # Blank lines are skipped and an all-blank body warns; the shape
+            # check below rejects both.
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(lines, dtype=np.float64, delimiter=sep, ndmin=2, comments=None)
     except ValueError as exc:
         raise ValueError(f"{path}: malformed data rows ({exc})") from None
+    if data.shape != (len(lines), width):
+        raise ValueError(
+            f"{path}: malformed data rows ({len(lines)} rows of {width} values expected, "
+            f"{data.shape[0]} rows of {data.shape[1]} read)"
+        )
+    return data
 
 
 def _finite_points(path, data: Array) -> Array:

@@ -21,6 +21,11 @@ Array = NDArray[np.float64]
 # lambda2 below this fraction of lambda1 marks a collinear neighborhood.
 _COLLINEAR_RATIO = 1e-12
 
+# Margin of the closed-form eigenvalue screen, as a fraction of the sum of the
+# absolute eigenvalues. The trigonometric formula is least accurate near a
+# double eigenvalue, where its error measured under 5e-9 of that sum.
+_SCREEN_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class PlaneFitBatch:
@@ -28,22 +33,36 @@ class PlaneFitBatch:
 
     rotations holds each fit's eigenvectors as columns, in the order of the
     descending eigenvalues; normals is the last column. Column signs are
-    whatever the eigensolver returns.
+    whatever the eigensolver returns. rows holds the index, in the fitted
+    neighborhood stack, of each of the M fits: all of the stack when nothing
+    was screened out, else the rows fit_planes' min_lambda2 screen kept.
     """
 
     normals: Array      # (M, 3)
     eigenvalues: Array  # (M, 3) descending
     rotations: Array    # (M, 3, 3)
     collinear: Array    # (M,) bool
+    rows: NDArray[np.intp]  # (M,)
 
 
-def fit_planes(neighbors) -> PlaneFitBatch:
+def fit_planes(neighbors, min_lambda2: float = 0.0) -> PlaneFitBatch:
     """Fit one plane per row of an (M, k, 3) neighborhood stack, k >= 3.
 
     Normals are unoriented and their signs are not normalized: no result
     downstream reads them, because flipping a normal with its offset
     negates a feature vector and its residual together, and the normal
     covariance R diag(var) R^T ignores column signs.
+
+    A positive min_lambda2 leaves out the rows whose middle eigenvalue is
+    certainly below it and which are certainly not collinear; at
+    min_lambda2 = sigma_i^2 / k / sigma_n_max^2 these are rows that
+    normal_covariances would reject as outliers. Closed-form eigenvalues of
+    every scatter matrix screen the rows, and only the rest are
+    eigendecomposed. The screen is exact: a row is left out only when both
+    tests clear their bounds by the margin _SCREEN_TOL, far above the error
+    of either eigenvalue computation, and eigh decomposes each matrix on its
+    own, so the fits returned are bit for bit those of an unscreened call.
+    batch.rows says which rows they are.
     """
     pts = np.asarray(neighbors, dtype=np.float64)
     if pts.ndim != 3 or pts.shape[-1] != 3:
@@ -55,12 +74,45 @@ def fit_planes(neighbors) -> PlaneFitBatch:
     centered = pts - pts.mean(axis=1)[:, None, :]
     covs = np.einsum("mki,mkj->mij", centered, centered) / (k - 1)
 
+    rows = np.arange(covs.shape[0])
+    if min_lambda2 > 0.0:
+        out = _screened_out(covs, min_lambda2)
+        if out.any():
+            rows = np.flatnonzero(~out)
+            covs = covs[rows]
+
     evals, evecs = np.linalg.eigh(covs)           # ascending
     evals = np.clip(evals[:, ::-1], 0.0, None)    # descending
     evecs = evecs[:, :, ::-1]
 
     collinear = evals[:, 1] <= _COLLINEAR_RATIO * evals[:, 0]
-    return PlaneFitBatch(evecs[:, :, 2], evals, evecs, collinear)
+    return PlaneFitBatch(evecs[:, :, 2], evals, evecs, collinear, rows)
+
+
+def _screened_out(covs: Array, min_lambda2: float) -> NDArray[np.bool_]:
+    """Rows of an (M, 3, 3) symmetric stack whose middle eigenvalue is
+    certainly below min_lambda2 and certainly above the collinear bound.
+
+    The eigenvalues come from the trigonometric solution of the
+    characteristic cubic: with q = tr(A) / 3, p^2 = |A - qI|_F^2 / 6 and
+    r = det((A - qI) / p) / 2, they are q + 2p cos(acos(r) / 3 + 2 pi j / 3).
+    A row with p == 0 (a multiple of I, zero scatter included) gives NaN and
+    is never screened out.
+    """
+    a00, a11, a22 = covs[:, 0, 0], covs[:, 1, 1], covs[:, 2, 2]
+    a01, a02, a12 = covs[:, 0, 1], covs[:, 0, 2], covs[:, 1, 2]
+    q = (a00 + a11 + a22) / 3.0
+    d00, d11, d22 = a00 - q, a11 - q, a22 - q
+    p = np.sqrt((d00**2 + d11**2 + d22**2 + 2.0 * (a01**2 + a02**2 + a12**2)) / 6.0)
+    with np.errstate(invalid="ignore"):  # 0 / 0 where p == 0
+        b00, b11, b22, b01, b02, b12 = (v / p for v in (d00, d11, d22, a01, a02, a12))
+    r = (b00 * (b11 * b22 - b12**2) - b01 * (b01 * b22 - b12 * b02) + b02 * (b01 * b12 - b11 * b02)) / 2.0
+    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
+    l1 = q + 2.0 * p * np.cos(phi)
+    l3 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    l2 = 3.0 * q - l1 - l3
+    tol = _SCREEN_TOL * (np.abs(l1) + np.abs(l2) + np.abs(l3))
+    return (l2 + tol < min_lambda2) & (l2 - tol > _COLLINEAR_RATIO * (l1 + tol))
 
 
 def normal_covariances(

@@ -246,24 +246,29 @@ def extract_features(
         raise NoCorrespondences("all correspondences beyond the distance limit")
 
     sel_idx = idx[near]
-    batch = fit_planes(tgt[sel_idx])
+    # The variance gate of normal_covariances, as a bound on lambda2, lets
+    # fit_planes skip the eigendecomposition of rows it would reject.
+    min_lambda2 = config.sigma_i**2 / k / config.sigma_n_max**2 if config.sigma_n_max > 0.0 else 0.0
+    batch = fit_planes(tgt[sel_idx], min_lambda2)
     keep, rot_cov_w = normal_covariances(batch, config.sigma_i, k, config.sigma_n_max)
+    used = int(np.sum(keep))
     rejected_collinear = int(np.sum(batch.collinear))
-    rejected_outlier = int(np.sum(~batch.collinear & ~keep))
-    if not np.any(keep):
+    rejected_outlier = sel_idx.shape[0] - rejected_collinear - used
+    if used == 0:
         raise NoCorrespondences("no usable features after filtering")
 
+    rows = batch.rows[keep]
     n_w = batch.normals[keep]
-    anchors = tgt[sel_idx[keep, 0]]
+    anchors = tgt[sel_idx[rows, 0]]
     d_w = np.einsum("mi,mi->m", n_w, anchors)
-    residuals = np.einsum("mi,mi->m", n_w, p_world[near][keep]) - d_w
+    residuals = np.einsum("mi,mi->m", n_w, p_world[near][rows]) - d_w
 
     weights = _residual_weights(residuals, config.sigma_p)
 
     # Pull planes and noise models back into the sensor frame.
     n_l = n_w @ pose.rotation
     d_l = d_w - n_w @ pose.translation
-    p_l = src[near][keep]
+    p_l = src[near][rows]
 
     rot_cov_l = np.einsum("ji,mjk,kl->mil", pose.rotation, rot_cov_w, pose.rotation)
     point_cov = config.sigma_p**2 * np.eye(3)
@@ -271,7 +276,7 @@ def extract_features(
     bundle = accumulate_arrays(p_l, n_l, d_l, weights, point_cov, rot_cov_l)
     stats = FeatureStats(
         candidates=candidates,
-        used=int(np.sum(keep)),
+        used=used,
         rejected_distance=rejected_distance,
         rejected_collinear=rejected_collinear,
         rejected_outlier=rejected_outlier,

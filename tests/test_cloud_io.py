@@ -119,6 +119,56 @@ def test_reads_utf8_byte_order_mark(cloud, fmt):
     np.testing.assert_allclose(rn, normals, atol=1e-6)
 
 
+def _ply_text(body, count, props="x y z"):
+    header = f"ply\nformat ascii 1.0\nelement vertex {count}\n"
+    return header + "".join(f"property double {c}\n" for c in props.split()) + "end_header\n" + body
+
+
+@pytest.mark.parametrize("fmt", ["ply", "csv"])
+def test_parses_like_float(tmp_path, fmt):
+    # Reference: Python's float() on each token, the parser the vectorized
+    # readers replaced, on 17-digit values over the whole exponent range.
+    rng = np.random.default_rng(2)
+    values = rng.uniform(-1.0, 1.0, (1000, 3)) * 10.0 ** rng.integers(-300, 301, (1000, 3))
+    sep = " " if fmt == "ply" else ","
+    lines = [sep.join(f"{v:.17g}" for v in row) for row in values]
+    path = tmp_path / f"c.{fmt}"
+    body = "\n".join(lines) + "\n"
+    path.write_text(_ply_text(body, len(lines)) if fmt == "ply" else "x,y,z\n" + body)
+    points, _ = cloud_io.load_cloud(path)
+    reference = np.array([[float(v) for v in line.split(sep)] for line in lines])
+    assert np.array_equal(points, reference)
+    assert np.array_equal(points, values)
+
+
+@pytest.mark.parametrize("fmt", ["ply", "csv"])
+def test_reads_empty_body(tmp_path, fmt):
+    path = tmp_path / f"e.{fmt}"
+    path.write_text(_ply_text("", 0) if fmt == "ply" else "x,y,z\n")
+    points, normals = (cloud_io.read_ply if fmt == "ply" else cloud_io.read_csv)(path)
+    assert points.shape == (0, 3) and normals is None
+
+
+_MALFORMED = {
+    "ragged.ply": _ply_text("0 0 0\n1 0\n", 2),
+    "word.ply": _ply_text("0 0 0\n1 0 x\n", 2),
+    "blank.ply": _ply_text("0 0 0\n\n1 0 0\n", 2),
+    "allblank.ply": _ply_text("\n\n", 2),
+    "wide.ply": _ply_text("0 0 0 1\n1 0 0 1\n", 2),
+    "ragged.csv": "x,y,z\n1,2,3\n4,5\n",
+    "word.csv": "x,y,z\n1,2,3\n4,5,six\n",
+    "wide.csv": "x,y,z\n1,2,3,4\n4,5,6,7\n",
+}
+
+
+@pytest.mark.parametrize("name", _MALFORMED)
+def test_rejects_malformed_rows(tmp_path, name):
+    path = tmp_path / name
+    path.write_text(_MALFORMED[name])
+    with pytest.raises(ValueError, match=f"{name}: malformed data rows \\("):
+        cloud_io.load_cloud(path)
+
+
 class TestCsv:
     def test_round_trip(self, cloud):
         tmp, points, normals = cloud

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import random_rotation
 
 from degen_icp import TooFewPoints, fit_planes, normal_covariances, skew
 from degen_icp.normals import PlaneFitBatch
@@ -43,6 +44,7 @@ def _keeps(lambda2, sigma_i, n_pts, sigma_n_max):
         eigenvalues=np.array([[1.0, lambda2, 0.0]]),
         rotations=np.eye(3)[None],
         collinear=np.array([False]),
+        rows=np.array([0]),
     )
     return bool(normal_covariances(batch, sigma_i, n_pts, sigma_n_max)[0][0])
 
@@ -182,3 +184,95 @@ class TestOutlier:
     def test_boundary_is_strict(self):
         # Worst-case std exactly 0.10: kept.
         assert _keeps(0.25, 0.10, 4, 0.10)
+
+
+# The outlier gate the screen tests run against: lambda2 >= t with
+# t = SIGMA_I^2 / k / SIGMA_N_MAX^2.
+SIGMA_I, SIGMA_N_MAX = 0.01, 0.1
+
+
+def _gate(k):
+    return SIGMA_I**2 / k / SIGMA_N_MAX**2
+
+
+def _patch(rng, k, evals):
+    """k points whose scatter matrix has the given descending eigenvalues
+    (zeros last, at most k - 1 nonzero), in a random frame."""
+    rank = int(np.count_nonzero(evals))
+    x = np.zeros((k, 3))
+    x[:, :rank] = rng.standard_normal((k, rank))
+    x -= x.mean(axis=0)
+    if rank:
+        w, v = np.linalg.eigh(x[:, :rank].T @ x[:, :rank] / (k - 1))
+        x[:, :rank] = x[:, :rank] @ v / np.sqrt(w) * np.sqrt(evals[:rank])
+    return x @ random_rotation(rng).T
+
+
+def _stack(rng, k, spectra):
+    """One patch per spectrum, given in units of the gate, after a patch that
+    fails the gate clearly and one that passes it clearly."""
+    lead = [(1e2, 1e-1, 1e-3), (1e2, 1e1, 1e-3)] if k > 3 else [(1e2, 1e-1, 0.0), (1e2, 1e1, 0.0)]
+    return np.stack([_patch(rng, k, _gate(k) * np.asarray(e, dtype=float)) for e in lead + spectra])
+
+
+def _screen_stack(case):
+    """A k=5 neighborhood stack for one edge case of the screen."""
+    rng, k = np.random.default_rng(31), 5
+    if case == "boundary":
+        spectra = [(1e1, 1 + 1e-9, 0.0), (1e1, 1 - 1e-9, 0.0), (1e1, 1 + 1e-9, 1e-2), (1e1, 1 - 1e-9, 1e-2)]
+    elif case == "collinear":
+        spectra = [(1e-2, 0.0, 0.0), (1.0, 0.0, 0.0), (1e4, 0.0, 0.0)]
+    elif case == "repeated":
+        spectra = [(0.0, 0.0, 0.0)] * 3
+    elif case == "isotropic":
+        spectra = [(v, v, v) for v in (1e-2, 1 - 1e-9, 1 + 1e-9, 1e2)]
+    elif case == "equal-top-pair":
+        spectra = [(v, v, w) for v in (1e-1, 1 - 1e-9, 1 + 1e-9, 1e1) for w in (0.0, 1e-3 * v)]
+    nb = _stack(rng, k, spectra)
+    if case == "collinear":
+        line = np.arange(k, dtype=float)[:, None] * [1.0, 2.0, -0.5]
+        nb = np.concatenate([nb, line[None], 1e-3 * line[None]])
+    elif case == "repeated":
+        nb = np.concatenate([nb, np.full((1, k, 3), 1e4 / 3.0)])
+    return nb
+
+
+class TestScreen:
+    """fit_planes with a min_lambda2 screen must return the very fits of an
+    unscreened call, for every row the variance gate keeps or that is
+    collinear."""
+
+    @staticmethod
+    def _check(nb):
+        k = nb.shape[1]
+        full, screened = fit_planes(nb), fit_planes(nb, _gate(k))
+        assert np.array_equal(full.rows, np.arange(nb.shape[0]))
+        for name in ("normals", "eigenvalues", "rotations", "collinear"):
+            assert np.array_equal(getattr(screened, name), getattr(full, name)[screened.rows]), name
+        keep_full, covs_full = normal_covariances(full, SIGMA_I, k, SIGMA_N_MAX)
+        keep, covs = normal_covariances(screened, SIGMA_I, k, SIGMA_N_MAX)
+        wanted = np.flatnonzero(full.collinear | keep_full)
+        assert np.array_equal(screened.rows[screened.collinear | keep], wanted)
+        assert np.array_equal(covs, covs_full)
+        # The stack's leading patch fails the gate clearly and is screened out.
+        assert 0 not in screened.rows
+        return full, keep_full
+
+    @pytest.mark.parametrize("case", ["boundary", "collinear", "repeated", "isotropic", "equal-top-pair"])
+    def test_edge_cases(self, case):
+        full, keep = self._check(_screen_stack(case))
+        if case == "boundary":
+            assert keep[2:].tolist() == [True, False, True, False]
+        if case in ("collinear", "repeated"):
+            assert full.collinear[2:].all()
+
+    @pytest.mark.parametrize("case", ["boundary", "isotropic", "equal-top-pair"])
+    def test_offset_coordinates(self, case):
+        self._check(_screen_stack(case) + 1e4)
+
+    @pytest.mark.parametrize("k", [3, 20])
+    def test_neighborhood_sizes(self, k):
+        spectra = [(1e1, v, 0.0) for v in (1e-2, 1 - 1e-9, 1 + 1e-9, 1e1)]
+        if k > 3:
+            spectra += [(1e1, v, 1e-1 * v) for v in (1e-2, 1 - 1e-9, 1 + 1e-9)] + [(1.0, 1.0, 1.0)]
+        self._check(_stack(np.random.default_rng(32), k, spectra))

@@ -223,8 +223,8 @@ class TestExtractFeatures:
 
         fit_planes = registration.fit_planes
 
-        def flipped_fit_planes(neighbors):
-            batch = fit_planes(neighbors)
+        def flipped_fit_planes(neighbors, *args):
+            batch = fit_planes(neighbors, *args)
             signs = rng.choice([-1.0, 1.0], size=(batch.rotations.shape[0], 1, 3))
             rotations = batch.rotations * signs
             return dataclasses.replace(batch, normals=rotations[:, :, 2], rotations=rotations)
@@ -236,6 +236,24 @@ class TestExtractFeatures:
         assert np.array_equal(np.abs(got.vectors), np.abs(want.vectors))
         assert not np.array_equal(got.vectors, want.vectors)
         assert got_stats == want_stats
+
+    @pytest.mark.parametrize("points, kept", [(20000, (0.0, 0.05)), (2000, (0.5, 1.0))])
+    def test_plane_screen_changes_no_feature(self, monkeypatch, points, kept):
+        # At k=5 few fits on the 20k room pass sigma_n_max and most on the 2k
+        # room do; screening fits by their lambda2 must change no bit either way.
+        target = generate_scene(SceneSpec(SceneKind.ROOM, point_count=points, seed=21))
+        source = noisy_feature_arrays(generate_scene(SceneSpec(SceneKind.ROOM, point_count=points, seed=22)),
+                                      NoiseSpec(0.01, 0.0, 5))[0]
+        init = Pose(exp_so3([0.01, -0.01, 0.02]), [0.04, -0.03, 0.03])
+        got, got_stats = extract_features(source, target.points, init, IcpConfig())
+
+        fit_planes = registration.fit_planes
+        monkeypatch.setattr(registration, "fit_planes", lambda neighbors, *args: fit_planes(neighbors))
+        want, want_stats = extract_features(source, target.points, init, IcpConfig())
+        for name in ("hessian", "rhs", "sigma_total", "covariances"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got_stats == want_stats
+        assert kept[0] < want_stats.used / want_stats.candidates < kept[1]
 
 
 class TestIcp:
@@ -317,5 +335,5 @@ class TestIcp:
         bundle, stats = extract_features(sample.points, sample.points, Pose.identity(), IcpConfig())
         assert stats.candidates == 800
         assert stats.used == bundle.size
-        assert stats.used + stats.rejected_distance + stats.rejected_collinear + stats.rejected_outlier >= stats.candidates - 0
+        assert stats.used + stats.rejected_distance + stats.rejected_collinear + stats.rejected_outlier == stats.candidates
         assert stats.residual_rms == 0.0
