@@ -86,10 +86,13 @@ def accumulate_arrays(points, normals, offsets, weights, point_covs, normal_covs
     n_hat = n + cross(n, eta); only its component tangent to the normal
     influences any result. Each feature's noise covariance is
     B blockdiag(point_cov, normal_cov) B^T, with B the Jacobian of v with
-    respect to [eps; eta] at zero noise:
+    respect to [eps; eta] at zero noise. Written as its two column blocks,
+    with a = skew(n):
 
-        B = w * [[-skew(n), skew(p) @ skew(n)],
-                 [       0,           skew(n)]]
+        B = w * [B_eps | B_eta],  B_eps = [-a; 0],  B_eta = [skew(p) @ a; a]
+
+    so the covariance is w^2 (B_eta normal_cov B_eta^T), plus
+    w^2 a point_cov a^T in the top-left 3x3 block.
     """
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
@@ -107,18 +110,10 @@ def accumulate_arrays(points, normals, offsets, weights, point_covs, normal_covs
     hessian = 0.5 * (hessian + hessian.T)
     rhs = vectors.T @ residuals
 
-    a = skew(n)                 # normal skews
-    k = skew(p) @ a             # skew(p) @ skew(n)
-    a_cn = a @ cn
-    top_left = a @ cp @ np.swapaxes(a, 1, 2) + k @ cn @ np.swapaxes(k, 1, 2)
-    top_right = k @ cn @ np.swapaxes(a, 1, 2)
-    bottom_right = a_cn @ np.swapaxes(a, 1, 2)
-
-    covariances = np.zeros((count, 6, 6))
-    covariances[:, :3, :3] = top_left
-    covariances[:, :3, 3:] = top_right
-    covariances[:, 3:, :3] = np.swapaxes(top_right, 1, 2)
-    covariances[:, 3:, 3:] = bottom_right
+    a = skew(n)
+    b_eta = np.concatenate([skew(p) @ a, a], axis=1)  # (N, 6, 3)
+    covariances = b_eta @ cn @ np.swapaxes(b_eta, 1, 2)
+    covariances[:, :3, :3] += a @ cp @ np.swapaxes(a, 1, 2)
     covariances *= (w**2)[:, None, None]
     covariances = 0.5 * (covariances + np.swapaxes(covariances, 1, 2))
 

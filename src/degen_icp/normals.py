@@ -72,7 +72,7 @@ def fit_planes(neighbors, min_lambda2: float = 0.0) -> PlaneFitBatch:
         raise TooFewPoints(f"plane fit needs at least 3 points, got {k}")
 
     centered = pts - pts.mean(axis=1)[:, None, :]
-    covs = np.einsum("mki,mkj->mij", centered, centered) / (k - 1)
+    covs = np.swapaxes(centered, 1, 2) @ centered / (k - 1)
 
     rows = np.arange(covs.shape[0])
     if min_lambda2 > 0.0:
@@ -141,4 +141,4 @@ def normal_covariances(
     np.divide(s, lam[:, 0], out=var[:, 1], where=lam[:, 0] > 0.0)
     keep = ~batch.collinear & ~(var[:, 0] > sigma_n_max**2)
     rotations = batch.rotations[keep]
-    return keep, np.einsum("mij,mj,mkj->mik", rotations, var[keep], rotations)
+    return keep, (rotations * var[keep][:, None, :]) @ np.swapaxes(rotations, 1, 2)

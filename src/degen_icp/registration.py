@@ -270,7 +270,7 @@ def extract_features(
     d_l = d_w - n_w @ pose.translation
     p_l = src[near][rows]
 
-    rot_cov_l = np.einsum("ji,mjk,kl->mil", pose.rotation, rot_cov_w, pose.rotation)
+    rot_cov_l = pose.rotation.T @ rot_cov_w @ pose.rotation
     point_cov = config.sigma_p**2 * np.eye(3)
 
     bundle = accumulate_arrays(p_l, n_l, d_l, weights, point_cov, rot_cov_l)

@@ -139,12 +139,17 @@ class TestAccumulate:
             rng, 40, sigma_p=0.02, sigma_n=0.01
         )
         assert normal_covs.shape == (40, 3, 3) and np.ptp(weights) > 0.0
-        bundle = accumulate_arrays(points, normals, offsets, weights, point_cov, normal_covs)
-        for i in range(40):
-            v = feature_vector(points[i], normals[i], weights[i])
-            cov = feature_covariance(points[i], normals[i], weights[i], point_cov, normal_covs[i])
-            assert np.linalg.norm(bundle.vectors[i] - v) <= 1e-12 * np.linalg.norm(v)
-            assert np.linalg.norm(bundle.covariances[i] - cov) <= 1e-12 * np.linalg.norm(cov)
+        # Per-feature anisotropic point noise, as range noise along each beam gives.
+        m = rng.standard_normal((40, 3, 3))
+        spd = 0.02**2 * (m @ np.swapaxes(m, 1, 2) + 0.1 * np.eye(3))
+        for point_covs in (point_cov, spd):
+            bundle = accumulate_arrays(points, normals, offsets, weights, point_covs, normal_covs)
+            point_covs = np.broadcast_to(point_covs, (40, 3, 3))
+            for i in range(40):
+                v = feature_vector(points[i], normals[i], weights[i])
+                cov = feature_covariance(points[i], normals[i], weights[i], point_covs[i], normal_covs[i])
+                assert np.linalg.norm(bundle.vectors[i] - v) <= 1e-12 * np.linalg.norm(v)
+                assert np.linalg.norm(bundle.covariances[i] - cov) <= 1e-12 * np.linalg.norm(cov)
 
     def test_hessian_is_sum_of_outer_products(self):
         rng = np.random.default_rng(4)

@@ -307,6 +307,29 @@ class TestIcp:
         m = frame_change_matrix(result.pose)
         np.testing.assert_allclose(result.information, m @ local @ m.T, rtol=1e-9, atol=1e-9)
 
+    def test_calls_hooks_once_per_iteration(self, monkeypatch):
+        # perfbench times these layers by replacing the module globals, so
+        # icp and extract_features must resolve them at call time.
+        calls = {}
+
+        def counted(name):
+            fn = getattr(registration, name)
+
+            def wrapped(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        names = ("extract_features", "fit_planes", "accumulate_arrays", "solve_update")
+        for name in names:
+            monkeypatch.setattr(registration, name, counted(name))
+        sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=600, seed=22))
+        init = Pose(exp_so3([0.0, 0.0, 0.02]), [0.05, 0.0, 0.0])
+        result = icp(sample.points, sample.points, init, IcpConfig())
+        assert len(result.iterations) >= 2
+        assert calls == {name: len(result.iterations) for name in names}
+
     def test_world_information_conjugation(self):
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=1000, seed=19))
         init = Pose(exp_so3([0.0, 0.0, 0.3]), [0.5, -0.2, 0.1])
