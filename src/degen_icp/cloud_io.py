@@ -31,11 +31,7 @@ __all__ = [
 
 Array = NDArray[np.float64]
 
-_FLOAT_FMT = "{:.10g}"
-
-
-def _fmt_row(row) -> str:
-    return " ".join(_FLOAT_FMT.format(float(v)) for v in row)
+_FLOAT_FMT = "%.10g"
 
 
 def _parse_rows(path, lines, sep, width: int) -> Array:
@@ -79,11 +75,9 @@ def _cloud_columns(path, points, normals) -> tuple[list[str], Array]:
 def write_ply(path, points, normals=None) -> None:
     """ASCII PLY with double x y z and optional nx ny nz."""
     names, data = _cloud_columns(path, points, normals)
-    lines = ["ply", "format ascii 1.0", f"element vertex {data.shape[0]}"]
-    lines += [f"property double {c}" for c in names]
-    lines.append("end_header")
-    lines += [_fmt_row(r) for r in data]
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ["ply", "format ascii 1.0", f"element vertex {data.shape[0]}"]
+    header += [f"property double {c}" for c in names] + ["end_header"]
+    np.savetxt(path, data, fmt=_FLOAT_FMT, header="\n".join(header), comments="")
 
 
 def read_ply(path) -> tuple[Array, Array | None]:
@@ -144,8 +138,7 @@ def read_ply(path) -> tuple[Array, Array | None]:
 def write_csv(path, points, normals=None) -> None:
     """CSV cloud with header, '.' decimal, no locale."""
     names, data = _cloud_columns(path, points, normals)
-    lines = [",".join(names)] + [",".join(_FLOAT_FMT.format(float(v)) for v in row) for row in data]
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, data, fmt=_FLOAT_FMT, delimiter=",", header=",".join(names), comments="")
 
 
 def read_csv(path) -> tuple[Array, Array | None]:
@@ -176,8 +169,7 @@ def load_cloud(path) -> tuple[Array, Array | None]:
 
 def write_pose(path, matrix) -> None:
     """Row-major homogeneous 4x4 pose, 16 whitespace-separated numbers."""
-    m = np.asarray(matrix, dtype=np.float64).reshape(4, 4)
-    Path(path).write_text("\n".join(_fmt_row(r) for r in m) + "\n")
+    np.savetxt(path, np.asarray(matrix, dtype=np.float64).reshape(4, 4), fmt=_FLOAT_FMT)
 
 
 def read_pose(path) -> Array:
@@ -200,8 +192,7 @@ def read_pose(path) -> Array:
 
 
 def write_matrix(path, matrix) -> None:
-    m = np.asarray(matrix, dtype=np.float64)
-    Path(path).write_text("\n".join(_fmt_row(r) for r in np.atleast_2d(m)) + "\n")
+    np.savetxt(path, np.atleast_2d(np.asarray(matrix, dtype=np.float64)), fmt=_FLOAT_FMT)
 
 
 def read_matrix(path) -> Array:

@@ -21,7 +21,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 import numpy as np
 from numpy.typing import NDArray
@@ -102,17 +102,16 @@ class SceneSpec:
 
 @dataclass(frozen=True)
 class SceneSample:
-    """Sampled surface points with exact per-point tangent planes.
+    """Sampled surface points with exact tangent planes, sensor at the origin.
 
     null_basis rows are unit 6-vectors ([rot; trans], sensor frame) spanning
     the null space of the noise-free Hessian.
     """
 
-    points: Array         # (N, 3)
-    normals: Array        # (N, 3)
-    offsets: Array        # (N,)
-    null_basis: Array     # (K, 6)
-    sensor_origin: Array  # (3,)
+    points: Array      # (N, 3)
+    normals: Array     # (N, 3)
+    offsets: Array     # (N,)
+    null_basis: Array  # (K, 6)
 
     @property
     def true_planes(self) -> list[tuple[Array, float]]:
@@ -142,18 +141,24 @@ class SpuriousInfoReport:
     probabilistic_null_mean_abs: Array   # (K,)
 
 
-def _unit_rows(a: Array) -> Array:
-    return a / np.linalg.norm(a, axis=1, keepdims=True)
+def _rect(axis: int, coord: float, extents: tuple[float, float], normal: Array):
+    """(area, sampler(rng, m)) of an axis-aligned rectangle: axis pinned at
+    coord, the other two axes uniform in +-extents/2, facing normal."""
+    others = [i for i in range(3) if i != axis]
 
+    def sample(r, m):
+        pts = np.empty((m, 3))
+        pts[:, axis] = coord
+        pts[:, others[0]] = r.uniform(-extents[0] / 2.0, extents[0] / 2.0, m)
+        pts[:, others[1]] = r.uniform(-extents[1] / 2.0, extents[1] / 2.0, m)
+        return pts, np.broadcast_to(normal, (m, 3)).copy(), np.full(m, float(normal[axis]) * coord)
 
-def _null_rows(twists: Sequence[Sequence[float]]) -> Array:
-    if not twists:
-        return np.zeros((0, 6))
-    return _unit_rows(np.asarray(twists, dtype=np.float64))
+    return extents[0] * extents[1], sample
 
 
 def generate_scene(spec: SceneSpec) -> SceneSample:
-    """Sample points uniformly (by area) on the named surfaces.
+    """Sample points uniformly (by area) on the named surfaces: one
+    multinomial draw splits point_count over them, then each draws in turn.
 
     Deterministic for a given spec. Raises InvalidDimensions for nonpositive
     or non-finite dimensions or point_count < 6.
@@ -164,47 +169,28 @@ def generate_scene(spec: SceneSpec) -> SceneSample:
     dims = spec.resolved_dimensions()
     rng = np.random.default_rng(spec.seed)
 
-    surfaces: list[tuple[float, object]] = []  # (area, sampler(rng, m))
-
-    def rect(axis: int, coord: float, extents: tuple[float, float], normal: Array):
-        """Axis-aligned rectangle sampler: axis pinned at coord, the other two
-        axes uniform in +-extents/2."""
-        others = [i for i in range(3) if i != axis]
-
-        def sample(r, m):
-            pts = np.empty((m, 3))
-            pts[:, axis] = coord
-            pts[:, others[0]] = r.uniform(-extents[0] / 2.0, extents[0] / 2.0, m)
-            pts[:, others[1]] = r.uniform(-extents[1] / 2.0, extents[1] / 2.0, m)
-            nrm = np.broadcast_to(normal, (m, 3)).copy()
-            off = np.full(m, float(normal @ np.eye(3)[axis]) * coord)
-            return pts, nrm, off
-
-        return sample
-
-    ex, ey, ez = np.eye(3)
+    ey, ez = np.eye(3)[1:]
     if kind is SceneKind.INFINITE_PLANE:
         size, drop = dims["size"], dims["drop"]
-        surfaces.append((size * size, rect(2, -drop, (size, size), ez)))
-        null = [[0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0]]
+        surfaces = [_rect(2, -drop, (size, size), ez)]
+        null = [2, 3, 4]
     elif kind is SceneKind.CORRIDOR:
         length, width, height = dims["length"], dims["width"], dims["height"]
-        surfaces.append((length * height, rect(1, width / 2.0, (length, height), -ey)))
-        surfaces.append((length * height, rect(1, -width / 2.0, (length, height), ey)))
-        surfaces.append((length * width, rect(2, -height / 2.0, (length, width), ez)))
-        null = [[0, 0, 0, 1, 0, 0]]
+        surfaces = [_rect(1, sign * width / 2.0, (length, height), -sign * ey) for sign in (1, -1)]
+        surfaces.append(_rect(2, -height / 2.0, (length, width), ez))
+        null = [3]
     elif kind in (SceneKind.CYLINDER, SceneKind.CYLINDER_WITH_FLOOR):
         radius, height = dims["radius"], dims["height"]
 
         def wall(r, m):
             theta = r.uniform(0.0, 2.0 * np.pi, m)
-            pts = np.column_stack(
-                [radius * np.cos(theta), radius * np.sin(theta), r.uniform(-height / 2.0, height / 2.0, m)]
-            )
+            z = r.uniform(-height / 2.0, height / 2.0, m)
+            pts = np.column_stack([radius * np.cos(theta), radius * np.sin(theta), z])
             nrm = -np.column_stack([np.cos(theta), np.sin(theta), np.zeros(m)])
             return pts, nrm, np.full(m, -radius)
 
-        surfaces.append((2.0 * np.pi * radius * height, wall))
+        surfaces = [(2.0 * np.pi * radius * height, wall)]
+        null = [2, 5]
         if kind is SceneKind.CYLINDER_WITH_FLOOR:
 
             def floor(r, m):
@@ -214,35 +200,20 @@ def generate_scene(spec: SceneSpec) -> SceneSample:
                 return pts, np.broadcast_to(ez, (m, 3)).copy(), np.full(m, -height / 2.0)
 
             surfaces.append((np.pi * radius**2, floor))
-            null = [[0, 0, 1, 0, 0, 0]]
-        else:
-            null = [[0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1]]
-    elif kind is SceneKind.ROOM:
-        width, depth, height = dims["width"], dims["depth"], dims["height"]
-        surfaces.append((depth * height, rect(0, width / 2.0, (depth, height), -ex)))
-        surfaces.append((depth * height, rect(0, -width / 2.0, (depth, height), ex)))
-        surfaces.append((width * height, rect(1, depth / 2.0, (width, height), -ey)))
-        surfaces.append((width * height, rect(1, -depth / 2.0, (width, height), ey)))
-        surfaces.append((width * depth, rect(2, height / 2.0, (width, depth), -ez)))
-        surfaces.append((width * depth, rect(2, -height / 2.0, (width, depth), ez)))
+            null = [2]
+    else:  # room: per axis, the wall at +size/2 facing in, then the one at -size/2
+        sizes = (dims["width"], dims["depth"], dims["height"])
+        surfaces = [
+            _rect(axis, sign * sizes[axis] / 2.0, sizes[:axis] + sizes[axis + 1 :], -sign * np.eye(3)[axis])
+            for axis in range(3) for sign in (1, -1)
+        ]
         null = []
-    else:  # pragma: no cover - enum is exhaustive
-        raise InvalidDimensions(f"unknown scene kind {spec.kind}")
 
     areas = np.array([a for a, _ in surfaces])
     counts = rng.multinomial(spec.point_count, areas / areas.sum())
-    pts, nrms, offs = [], [], []
-    for (_, sampler), m in zip(surfaces, counts):
-        if m == 0:
-            continue
-        p, n, d = sampler(rng, int(m))
-        pts.append(p)
-        nrms.append(n)
-        offs.append(d)
-    points = np.concatenate(pts)
-    normals = np.concatenate(nrms)
-    offsets = np.concatenate(offs)
-    return SceneSample(points, normals, offsets, _null_rows(null), np.zeros(3))
+    parts = [sampler(rng, int(m)) for (_, sampler), m in zip(surfaces, counts) if m]
+    points, normals, offsets = (np.concatenate(col) for col in zip(*parts))
+    return SceneSample(points, normals, offsets, np.eye(6)[null])
 
 
 def _tangent_basis(normals: Array) -> tuple[Array, Array]:

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
@@ -246,6 +247,18 @@ class TestOracle:
         records = cloud_io.read_jsonl(tmp_path / "oracle.jsonl")
         assert len(records) == 3
         assert all(r["mean_ok"] and r["variance_ok"] for r in records)
+
+    def test_zero_noise_passes(self, tmp_path):
+        # Every draw is the noise-free vector, so the standard error is
+        # rounding (about 1e-14) while the two means of a signal near 90
+        # differ in their last bits; the mean check needs a relative floor.
+        code = _run(
+            "oracle", "--kind", "room", "--points", 100, "--sigma-p", 0, "--sigma-n", 0,
+            "--trials", 2000, "--directions", 3, "--out", tmp_path,
+        )
+        records = cloud_io.read_jsonl(tmp_path / "oracle.jsonl")
+        assert [(r["mean_ok"], r["variance_ok"]) for r in records] == [(True, True)] * 3
+        assert code == 0
 
 
 class TestSweep:
@@ -514,11 +527,15 @@ def test_readme_config_schema_runs(tmp_path):
 
 
 def test_console_entry_point():
+    # The child process does not inherit pytest's pythonpath setting.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "degen_icp.cli", "detect", "--kind", "room", "--points", "300"],
         capture_output=True,
         text=True,
         timeout=120,
+        env=env,
     )
     assert proc.returncode == 0
     assert "probability" in proc.stdout

@@ -187,6 +187,57 @@ class TestCsv:
             cloud_io.read_csv(path)
 
 
+_EDGE_POINTS = np.array([[np.nan, np.inf, -np.inf], [-0.0, 5e-324, 1e300], [1e-300, 0.1, -2.5]])
+_EDGE_NORMALS = np.array([[0.0, 0.0, 1.0], [1 / 3, -2 / 3, 2 / 3], [-0.6, 0.8, -0.0]])
+_PLY_HEADER = "ply\nformat ascii 1.0\nelement vertex {}\nproperty double x\nproperty double y\nproperty double z\n"
+_NORMAL_PROPS = "property double nx\nproperty double ny\nproperty double nz\n"
+
+
+@pytest.mark.parametrize(
+    "write, expected",
+    [
+        (
+            lambda p: cloud_io.write_ply(p, _EDGE_POINTS, _EDGE_NORMALS),
+            _PLY_HEADER.format(3) + _NORMAL_PROPS + "end_header\n"
+            "nan inf -inf 0 0 1\n"
+            "-0 4.940656458e-324 1e+300 0.3333333333 -0.6666666667 0.6666666667\n"
+            "1e-300 0.1 -2.5 -0.6 0.8 -0\n",
+        ),
+        (
+            lambda p: cloud_io.write_ply(p, _EDGE_POINTS),
+            _PLY_HEADER.format(3) + "end_header\nnan inf -inf\n-0 4.940656458e-324 1e+300\n1e-300 0.1 -2.5\n",
+        ),
+        (lambda p: cloud_io.write_ply(p, np.empty((0, 3))), _PLY_HEADER.format(0) + "end_header\n"),
+        (
+            lambda p: cloud_io.write_csv(p, _EDGE_POINTS, _EDGE_NORMALS),
+            "x,y,z,nx,ny,nz\nnan,inf,-inf,0,0,1\n"
+            "-0,4.940656458e-324,1e+300,0.3333333333,-0.6666666667,0.6666666667\n"
+            "1e-300,0.1,-2.5,-0.6,0.8,-0\n",
+        ),
+        (
+            lambda p: cloud_io.write_csv(p, _EDGE_POINTS),
+            "x,y,z\nnan,inf,-inf\n-0,4.940656458e-324,1e+300\n1e-300,0.1,-2.5\n",
+        ),
+        (lambda p: cloud_io.write_csv(p, np.empty((0, 3))), "x,y,z\n"),
+        (
+            lambda p: cloud_io.write_pose(p, np.concatenate([_EDGE_POINTS.ravel(), _EDGE_NORMALS.ravel()[:7]])),
+            "nan inf -inf -0\n4.940656458e-324 1e+300 1e-300 0.1\n-2.5 0 0 1\n"
+            "0.3333333333 -0.6666666667 0.6666666667 -0.6\n",
+        ),
+        (lambda p: cloud_io.write_matrix(p, _EDGE_POINTS[:2]), "nan inf -inf\n-0 4.940656458e-324 1e+300\n"),
+        (lambda p: cloud_io.write_matrix(p, _EDGE_NORMALS[1]), "0.3333333333 -0.6666666667 0.6666666667\n"),
+    ],
+    ids=["ply-normals", "ply-points", "ply-empty", "csv-normals", "csv-points", "csv-empty", "pose", "matrix",
+         "matrix-vector"],
+)
+def test_writers_golden_bytes(tmp_path, write, expected):
+    # Ten significant digits, NaN and infinities spelled out, the sign of
+    # -0.0 kept, subnormals and extreme exponents, '\n' after every line.
+    path = tmp_path / "out"
+    write(path)
+    assert path.read_bytes() == expected.encode("ascii")
+
+
 class TestPose:
     def test_round_trip(self, tmp_path):
         from conftest import random_pose

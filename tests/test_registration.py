@@ -17,6 +17,7 @@ from degen_icp import (
     SingularHessian,
     Standard,
     accumulate_arrays,
+    analyze,
     attenuated_update,
     exp_so3,
     extract_features,
@@ -254,6 +255,24 @@ class TestExtractFeatures:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got_stats == want_stats
         assert kept[0] < want_stats.used / want_stats.candidates < kept[1]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: plane fits that straddle a wall-floor edge hide the null direction at k=20",
+    )
+    def test_corridor_null_direction_flagged_at_k20(self):
+        # Criterion 3's corridor and noise at k_neighbors=20: 29% of the
+        # patches span two surfaces, their normals tilt along the corridor
+        # axis, and the null direction reads p = 0.998 instead of < 0.01.
+        sample = generate_scene(SceneSpec(SceneKind.CORRIDOR, point_count=1500, seed=51))
+        config = IcpConfig(sigma_p=0.01, sigma_i=0.01, k_neighbors=20)
+        rng = np.random.default_rng(52)
+        noisy = sample.points + config.sigma_p * rng.standard_normal(sample.points.shape)
+        bundle, _ = extract_features(noisy, noisy, Pose.identity(), config)
+        reports = analyze(bundle, 10.0)
+        flagged = [r.direction for r in reports if r.probability < 0.01]
+        assert len(flagged) == 1, [r.probability for r in reports]
+        assert np.linalg.norm(sample.null_basis @ flagged[0]) > 0.9
 
 
 class TestIcp:
