@@ -12,6 +12,7 @@ U diag(m / lambda) U^T g.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -152,6 +153,15 @@ class IcpConfig:
     max_correspondence_distance: float = 1.0
 
 
+def _worker_count() -> int:
+    """Threads for kd-tree queries and Monte Carlo chunks: the cores this
+    process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not available on every platform
+        return os.cpu_count() or 1
+
+
 def _residual_weights(residuals: Array, sigma_p: float) -> Array:
     """Geman-McClure weights 1 / (1 + (r / (3 sigma_p))^2) of point-to-plane
     residuals r; ones when sigma_p is zero."""
@@ -225,7 +235,8 @@ def extract_features(
     sigma_n_max. The surviving planes are pulled back into the sensor frame
     along with their normal noise covariances. The fits do not depend on the
     pose: a normal's sign is fixed by the fit alone, and flipping a normal
-    with its offset leaves every accumulated term unchanged.
+    with its offset leaves every accumulated term unchanged. Each kd-tree
+    query thread fills its own rows, so no result depends on the thread count.
     """
     src = np.asarray(source, dtype=np.float64).reshape(-1, 3)
     tgt = np.asarray(target, dtype=np.float64).reshape(-1, 3)
@@ -238,7 +249,7 @@ def extract_features(
         tree = cKDTree(tgt)
 
     p_world = pose.apply(src)
-    dist, idx = tree.query(p_world, k=k)
+    dist, idx = tree.query(p_world, k=k, workers=_worker_count())
     near = dist[:, 0] <= config.max_correspondence_distance
     candidates = src.shape[0]
     rejected_distance = int(np.sum(~near))

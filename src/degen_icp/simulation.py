@@ -10,14 +10,14 @@ Randomness: every operation takes an explicit 64-bit seed. Monte Carlo loops
 split their seed into one child stream per fixed-size chunk of trials
 (chunk size depends only on the feature count). The chunks run on a thread
 pool with one worker per core this process may use (os.sched_getaffinity,
-else os.cpu_count), and their results are merged in chunk order, so the
-result is bit for bit the same for any worker count.
+else os.cpu_count), the rule registration's kd-tree queries use too, and
+their results are merged in chunk order, so the result is bit for bit the
+same for any worker count.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -28,7 +28,7 @@ from numpy.typing import NDArray
 
 from .degeneracy import accumulate_arrays
 from .errors import InvalidDimensions, RequiresDegenerateScene
-from .registration import Probabilistic, attenuated_update, solve_update
+from .registration import Probabilistic, _worker_count, attenuated_update, solve_update
 
 __all__ = [
     "SceneKind",
@@ -264,14 +264,6 @@ def _chunk_rows(n_features: int) -> int:
 def _block_rows(n_features: int, width: int) -> int:
     """Rows per block of a chunk whose arrays have shape (rows, N, width)."""
     return max(1, _BLOCK_ELEMENTS // max(n_features * width, 1))
-
-
-def _worker_count() -> int:
-    """Monte Carlo threads: the cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not available on every platform
-        return os.cpu_count() or 1
 
 
 def _mc_chunks(task, n_features: int, trials: int, seed: np.random.SeedSequence) -> Iterator:

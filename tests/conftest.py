@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import os
+
 import numpy as np
 
 from degen_icp import NoCorrespondences, Pose, exp_so3, skew
@@ -86,6 +88,12 @@ def fail_after_first_call(extract_features):
         return extract_features(*args, **kwargs)
 
     return wrapped
+
+
+def force_workers(monkeypatch, workers):
+    """Pin the thread count of kd-tree queries and Monte Carlo chunks by
+    faking the affinity lookup."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
 
 
 def sequential_mc_direction_stats(points, normals, weights, noise, directions, trials):

@@ -85,6 +85,26 @@ class TestFitPlane:
             assert evals[0] >= evals[1] >= evals[2] >= 0
 
 
+class TestScatterReference:
+    """fit_planes against a per-row eigendecomposition of c^T c / (k - 1).
+    TestScreen compares two calls that share the scatter assembly; this
+    checks the assembly itself."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4])
+    @pytest.mark.parametrize("k", [3, 5, 20])
+    def test_matches_per_row_eigh(self, k, offset):
+        rng = np.random.default_rng(34 + k)
+        scales = 10.0 ** rng.uniform(-2.0, 0.0, (100, 1, 3))
+        rotations = np.stack([random_rotation(rng) for _ in range(100)])
+        nb = (rng.standard_normal((100, k, 3)) * scales) @ rotations + offset
+        batch = fit_planes(nb)
+        for row, pts in enumerate(nb):
+            c = pts - pts.mean(axis=0)
+            w, v = np.linalg.eigh(c.T @ c / (k - 1))
+            assert np.abs(batch.eigenvalues[row] - w[::-1]).max() <= 1e-10 * w[-1]
+            assert abs(abs(batch.normals[row] @ v[:, 0]) - 1.0) <= 1e-10
+
+
 class TestNormalCovariance:
     def test_symmetric_patch_closed_form(self):
         corners = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)

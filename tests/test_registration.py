@@ -2,7 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import fail_after_first_call, random_feature_arrays, rotation_angle
+from scipy.spatial import cKDTree
+from conftest import fail_after_first_call, force_workers, random_feature_arrays, rotation_angle
 
 from degen_icp import (
     ConditionNumber,
@@ -212,6 +213,18 @@ class TestInformationMatrix:
         np.testing.assert_allclose(sol.information, expected / 0.015**2, rtol=1e-10, atol=1e-10)
 
 
+class _QueryRecorder(cKDTree):
+    """A kd-tree that records the workers argument of each query."""
+
+    def __init__(self, data):
+        super().__init__(data)
+        self.workers = []
+
+    def query(self, x, *args, **kwargs):
+        self.workers.append(kwargs.get("workers"))
+        return super().query(x, *args, **kwargs)
+
+
 class TestExtractFeatures:
     def test_fit_signs_do_not_matter(self, monkeypatch):
         # Plane fits leave eigenvector signs to the eigensolver: flipping any
@@ -255,6 +268,29 @@ class TestExtractFeatures:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got_stats == want_stats
         assert kept[0] < want_stats.used / want_stats.candidates < kept[1]
+
+    def test_query_workers_change_no_bit(self, monkeypatch):
+        # The kd-tree query runs on one thread per usable core; cKDTree fills
+        # each row on its own, so the thread count must change no bit.
+        target = generate_scene(SceneSpec(SceneKind.ROOM, point_count=20000, seed=21))
+        source = noisy_feature_arrays(generate_scene(SceneSpec(SceneKind.ROOM, point_count=20000, seed=22)),
+                                      NoiseSpec(0.01, 0.0, 5))[0]
+        init = Pose(exp_so3([0.01, -0.01, 0.02]), [0.04, -0.03, 0.03])
+        config = IcpConfig(max_iterations=3)
+        runs = []
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            tree = _QueryRecorder(target.points)
+            bundle, stats = extract_features(source, target.points, init, config, tree=tree)
+            assert tree.workers == [workers]
+            runs.append((bundle, stats, icp(source, target.points, init, config)))
+        (bundle1, stats1, result1), (bundle2, stats2, result2) = runs
+        for field in dataclasses.fields(bundle1):
+            assert np.array_equal(getattr(bundle1, field.name), getattr(bundle2, field.name)), field.name
+        assert stats1 == stats2
+        assert len(result1.iterations) == len(result2.iterations) == 3
+        assert np.array_equal(result1.pose.rotation, result2.pose.rotation)
+        assert np.array_equal(result1.pose.translation, result2.pose.translation)
 
     @pytest.mark.xfail(
         strict=True,

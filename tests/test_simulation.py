@@ -1,11 +1,10 @@
 import hashlib
-import os
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_feature_arrays, sequential_mc_direction_stats
+from conftest import force_workers, random_feature_arrays, sequential_mc_direction_stats
 
 from degen_icp import (
     InvalidDimensions,
@@ -256,7 +255,7 @@ class TestMcHessianStats:
         points, normals, _, weights, _, _ = random_feature_arrays(rng, features)
         directions = rng.standard_normal((6, 4))
         noise = NoiseSpec(0.01, 0.02, 39)
-        _force_workers(monkeypatch, workers)
+        force_workers(monkeypatch, workers)
         got = mc_direction_stats(points, normals, weights, noise, directions, trials)
         want = sequential_mc_direction_stats(points, normals, weights, noise, directions, trials)
         assert np.array_equal(got[0], want[0])
@@ -268,7 +267,7 @@ class TestMcHessianStats:
         # Two workers, so the bound does not depend on the host's core count.
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=100, seed=40))
         directions = np.random.default_rng(41).standard_normal((6, 10))
-        _force_workers(monkeypatch, 2)
+        force_workers(monkeypatch, 2)
         tracemalloc.start()
         try:
             mc_direction_stats(sample.points, sample.normals, 1.0, NoiseSpec(0.01, 0.01, 42), directions, 20_000)
@@ -292,7 +291,7 @@ class TestMcChunks:
             time.sleep(0.05 * (chunks - first_draws.index(draw)))
             return rows, draw
 
-        _force_workers(monkeypatch, 2)
+        force_workers(monkeypatch, 2)
         got = list(_mc_chunks(task, self.N_FEATURES, chunks, np.random.SeedSequence(43)))
         assert got == [(1, draw) for draw in first_draws]
 
@@ -304,14 +303,9 @@ class TestMcChunks:
                 raise ValueError("chunk 1 failed")
             return rows
 
-        _force_workers(monkeypatch, 2)
+        force_workers(monkeypatch, 2)
         with pytest.raises(ValueError, match="chunk 1 failed"):
             list(_mc_chunks(task, self.N_FEATURES, 3, np.random.SeedSequence(44)))
-
-
-def _force_workers(monkeypatch, workers):
-    """Pin the Monte Carlo thread count by faking the affinity lookup."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
 
 
 def _mc_one(points, normals, weights, noise, u, trials):
@@ -345,7 +339,7 @@ class TestSpuriousInfoDemo:
         # whole-chunk vectors took 139 MiB here. Two workers, so the bound
         # does not depend on the host's core count.
         sample = generate_scene(SceneSpec(SceneKind.INFINITE_PLANE, point_count=800, seed=37))
-        _force_workers(monkeypatch, 2)
+        force_workers(monkeypatch, 2)
         tracemalloc.start()
         try:
             spurious_info_demo(sample, 0.01, 2_000, solve_trials=1, seed=38)
