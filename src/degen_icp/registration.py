@@ -219,12 +219,27 @@ def solve_update(bundle: HessianBundle, method: SolverMethod, sigma_r: float = 1
     return UpdateSolution(x, gamma, tuple(reports), info)
 
 
+class _Carry:
+    """Per source row, what one ICP run carries between linearizations: the
+    ordered neighbours, world position and squared slack (negative: none) of
+    its last query, its distance gate, whether its fit is current and
+    collinear, and the world normal and normal covariance of each kept fit."""
+
+    def __init__(self, rows: int, k: int):
+        self.idx = np.full((rows, k), -1, dtype=np.intp)
+        self.origin, self.slack2 = np.zeros((rows, 3)), np.full(rows, -1.0)
+        self.near, self.fitted, self.collinear = (np.zeros(rows, dtype=bool) for _ in range(3))
+        self.rows, self.normals, self.covs = np.empty(0, dtype=np.intp), np.empty((0, 3)), np.empty((0, 3, 3))
+
+
 def extract_features(
     source,
     target,
     pose: Pose,
     config: IcpConfig,
     tree: cKDTree | None = None,
+    *,
+    carry: _Carry | None = None,
 ) -> tuple[HessianBundle, FeatureStats]:
     """Build sensor-frame plane features for one linearization.
 
@@ -237,6 +252,17 @@ def extract_features(
     pose: a normal's sign is fixed by the fit alone, and flipping a normal
     with its offset leaves every accumulated term unchanged. Each kd-tree
     query thread fills its own rows, so no result depends on the thread count.
+
+    icp carries each row's neighbours and fit from one call to the next; a
+    call without a carry builds a fresh one. The rule has no setting. A
+    query asks for k + 1 neighbours, at distances d_1 <= ..., and gives the
+    row a slack of min(half the smallest gap between consecutive distances,
+    |d_1 - max_correspondence_distance|) less 1e-9 (1 + d_last). By the
+    triangle inequality a row that has moved less than its slack keeps its
+    ordered k neighbours and its gate decision, so only the other rows are
+    queried (a tie leaves no slack), and only near rows whose neighbours
+    changed are fitted again. Outputs are bit for bit a fresh call's, and a
+    k-neighbour query's but where the kd-tree breaks a k-th/(k+1)-th tie.
     """
     src = np.asarray(source, dtype=np.float64).reshape(-1, 3)
     tgt = np.asarray(target, dtype=np.float64).reshape(-1, 3)
@@ -247,48 +273,69 @@ def extract_features(
         raise NoCorrespondences("target cloud too small for plane fitting")
     if tree is None:
         tree = cKDTree(tgt)
+    if carry is None:
+        carry = _Carry(src.shape[0], k)
 
     p_world = pose.apply(src)
-    dist, idx = tree.query(p_world, k=k, workers=_worker_count())
-    near = dist[:, 0] <= config.max_correspondence_distance
-    candidates = src.shape[0]
-    rejected_distance = int(np.sum(~near))
-    if not np.any(near):
+    moved = p_world - carry.origin
+    redo = np.flatnonzero(~(np.einsum("ni,ni->n", moved, moved) < carry.slack2))
+    at = p_world[redo]
+    dist, idx = tree.query(at, k=min(k + 1, tgt.shape[0]), workers=_worker_count())
+    # Column by column: numpy reduces slowly along a short last axis.
+    old = carry.idx[redo]
+    carry.fitted[redo[np.logical_or.reduce([idx[:, j] != old[:, j] for j in range(k)])]] = False
+    carry.idx[redo], carry.origin[redo] = idx[:, :k], at
+    carry.near[redo] = dist[:, 0] <= config.max_correspondence_distance
+    gap = np.minimum.reduce([dist[:, j + 1] - dist[:, j] for j in range(dist.shape[1] - 1)])
+    gate = np.abs(dist[:, 0] - config.max_correspondence_distance)
+    slack = np.minimum(0.5 * gap, gate) - 1e-9 * (1.0 + dist[:, -1])
+    carry.slack2[redo] = np.where(slack > 0.0, slack**2, -1.0)
+    del moved, redo, at, dist, idx, old, gap, gate, slack  # the first fit of a run sets the peak memory
+    if not np.any(carry.near):
         raise NoCorrespondences("all correspondences beyond the distance limit")
 
-    sel_idx = idx[near]
+    refit = np.flatnonzero(carry.near & ~carry.fitted)
     # The variance gate of normal_covariances, as a bound on lambda2, lets
     # fit_planes skip the eigendecomposition of rows it would reject.
     min_lambda2 = config.sigma_i**2 / k / config.sigma_n_max**2 if config.sigma_n_max > 0.0 else 0.0
-    batch = fit_planes(tgt[sel_idx], min_lambda2)
+    batch = fit_planes(tgt[carry.idx[refit]], min_lambda2)
     keep, rot_cov_w = normal_covariances(batch, config.sigma_i, k, config.sigma_n_max)
-    used = int(np.sum(keep))
-    rejected_collinear = int(np.sum(batch.collinear))
-    rejected_outlier = sel_idx.shape[0] - rejected_collinear - used
+    stay = carry.fitted[carry.rows]
+    carry.fitted[refit], carry.collinear[refit] = True, False
+    carry.collinear[refit[batch.rows[batch.collinear]]] = True
+    rows = np.concatenate([carry.rows[stay], refit[batch.rows[keep]]])
+    order = np.argsort(rows)
+    carry.rows = rows[order]
+    carry.normals = np.concatenate([carry.normals[stay], batch.normals[keep]])[order]
+    carry.covs = np.concatenate([carry.covs[stay], rot_cov_w])[order]
+
+    use = carry.near[carry.rows]
+    rows, n_w, rot_cov_w = carry.rows[use], carry.normals[use], carry.covs[use]
+    used = rows.shape[0]
+    rejected_collinear = int(np.sum(carry.near & carry.collinear))
+    rejected_outlier = int(np.sum(carry.near)) - rejected_collinear - used
     if used == 0:
         raise NoCorrespondences("no usable features after filtering")
 
-    rows = batch.rows[keep]
-    n_w = batch.normals[keep]
-    anchors = tgt[sel_idx[rows, 0]]
+    anchors = tgt[carry.idx[rows, 0]]
     d_w = np.einsum("mi,mi->m", n_w, anchors)
-    residuals = np.einsum("mi,mi->m", n_w, p_world[near][rows]) - d_w
+    residuals = np.einsum("mi,mi->m", n_w, p_world[rows]) - d_w
 
     weights = _residual_weights(residuals, config.sigma_p)
 
     # Pull planes and noise models back into the sensor frame.
     n_l = n_w @ pose.rotation
     d_l = d_w - n_w @ pose.translation
-    p_l = src[near][rows]
+    p_l = src[rows]
 
     rot_cov_l = pose.rotation.T @ rot_cov_w @ pose.rotation
     point_cov = config.sigma_p**2 * np.eye(3)
 
     bundle = accumulate_arrays(p_l, n_l, d_l, weights, point_cov, rot_cov_l)
     stats = FeatureStats(
-        candidates=candidates,
+        candidates=src.shape[0],
         used=used,
-        rejected_distance=rejected_distance,
+        rejected_distance=int(np.sum(~carry.near)),
         rejected_collinear=rejected_collinear,
         rejected_outlier=rejected_outlier,
         residual_rms=float(np.sqrt(np.mean(residuals**2))),
@@ -301,6 +348,8 @@ def icp(source, target, init: Pose | None = None, config: IcpConfig | None = Non
 
     Each iteration linearizes in the current sensor frame, solves with the
     configured method and composes the local update on the right of the pose.
+    Source points whose neighbours cannot have changed keep them, and their
+    plane fits, from the previous iteration (extract_features; no setting).
     Iteration stops when both twist norms fall below their tolerances or the
     iteration limit is reached. The final information matrix is conjugated to
     the world frame. NoCorrespondences in the first iteration is raised; in a
@@ -311,6 +360,7 @@ def icp(source, target, init: Pose | None = None, config: IcpConfig | None = Non
     pose = init if init is not None else Pose.identity()
     tgt = np.asarray(target, dtype=np.float64).reshape(-1, 3)
     tree = cKDTree(tgt)
+    carry = _Carry(np.asarray(source).reshape(-1, 3).shape[0], min(cfg.k_neighbors, tgt.shape[0]))
 
     iterations: list[IterationRecord] = []
     info_local = np.zeros((6, 6))
@@ -318,7 +368,7 @@ def icp(source, target, init: Pose | None = None, config: IcpConfig | None = Non
     termination = "max-iterations"
     for _ in range(cfg.max_iterations):
         try:
-            bundle, stats = extract_features(source, tgt, pose, cfg, tree=tree)
+            bundle, stats = extract_features(source, tgt, pose, cfg, tree=tree, carry=carry)
         except NoCorrespondences:
             if not iterations:
                 raise

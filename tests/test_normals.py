@@ -65,6 +65,14 @@ class TestFitPlane:
         with pytest.raises(TooFewPoints):
             _fit(np.array([[0, 0, 0], [1, 0, 0]], dtype=float))
 
+    @pytest.mark.parametrize("min_lambda2", [0.0, 1e-3])
+    def test_empty_stack(self, min_lambda2):
+        # An ICP iteration in which no row needs a new fit still calls fit_planes.
+        batch = fit_planes(np.empty((0, 5, 3)), min_lambda2)
+        assert batch.normals.shape == (0, 3) and batch.rotations.shape == (0, 3, 3) and batch.rows.size == 0
+        keep, covs = normal_covariances(batch, 0.01, 5, 0.1)
+        assert keep.shape == (0,) and covs.shape == (0, 3, 3)
+
     def test_noisy_plane_recovers_normal(self):
         rng = np.random.default_rng(42)
         pts = np.column_stack(

@@ -214,15 +214,32 @@ class TestInformationMatrix:
 
 
 class _QueryRecorder(cKDTree):
-    """A kd-tree that records the workers argument of each query."""
+    """A kd-tree that records the workers argument of each query and how
+    many points it asks about."""
 
     def __init__(self, data):
         super().__init__(data)
         self.workers = []
+        self.sizes = []
 
     def query(self, x, *args, **kwargs):
         self.workers.append(kwargs.get("workers"))
+        self.sizes.append(len(x))
         return super().query(x, *args, **kwargs)
+
+
+def _count_fits(monkeypatch):
+    """Replace registration.fit_planes by a wrapper; returns the list of the
+    row counts it is called with."""
+    fitted = []
+    fit_planes = registration.fit_planes
+
+    def counted(neighbors, *args):
+        fitted.append(len(neighbors))
+        return fit_planes(neighbors, *args)
+
+    monkeypatch.setattr(registration, "fit_planes", counted)
+    return fitted
 
 
 class TestExtractFeatures:
@@ -309,6 +326,120 @@ class TestExtractFeatures:
         flagged = [r.direction for r in reports if r.probability < 0.01]
         assert len(flagged) == 1, [r.probability for r in reports]
         assert np.linalg.norm(sample.null_basis @ flagged[0]) > 0.9
+
+
+def _room_pair(points):
+    """Source, target and start pose of the room linearizations above, at a point count."""
+    target = generate_scene(SceneSpec(SceneKind.ROOM, point_count=points, seed=21))
+    source = noisy_feature_arrays(generate_scene(SceneSpec(SceneKind.ROOM, point_count=points, seed=22)),
+                                  NoiseSpec(0.01, 0.0, 5))[0]
+    return source, target.points, Pose(exp_so3([0.01, -0.01, 0.02]), [0.04, -0.03, 0.03])
+
+
+def _grid(m, step=0.125):
+    """An (m*m, 3) square grid on z = 0 whose coordinates, multiples of a
+    power of two, make its neighbour distances tie exactly."""
+    u = step * np.arange(-(m // 2), m - m // 2, dtype=np.float64)
+    x, y = np.meshgrid(u, u)
+    return np.column_stack([x.ravel(), y.ravel(), np.zeros(m * m)])
+
+
+def _assert_same_features(got, want):
+    """Two extract_features results agree bit for bit."""
+    for f in dataclasses.fields(want[0]):
+        assert np.array_equal(getattr(got[0], f.name), getattr(want[0], f.name)), f.name
+    assert got[1] == want[1]
+
+
+def _assert_carried_equals_fresh(monkeypatch, source, target, init, config):
+    """Run icp with extract_features wrapped to record each linearization,
+    and require each to equal, bit for bit, a fresh call at the same pose.
+    Returns the FeatureStats of each call."""
+    calls = []
+    carried = registration.extract_features
+
+    def recording(source, target, pose, config, **kwargs):
+        result = carried(source, target, pose, config, **kwargs)
+        calls.append((pose, result))
+        return result
+
+    monkeypatch.setattr(registration, "extract_features", recording)
+    result = icp(source, target, init, config)
+    assert len(calls) == len(result.iterations) >= 2
+    for pose, got in calls:
+        _assert_same_features(got, extract_features(source, target, pose, config))
+    return [stats for _, (_, stats) in calls]
+
+
+class TestCarry:
+    """icp carries each source row's neighbours and plane fit across
+    iterations; every linearization must equal a fresh one."""
+
+    @pytest.mark.parametrize("points, k", [(20000, 5), (2000, 20)])
+    def test_room_matches_fresh(self, monkeypatch, points, k):
+        _assert_carried_equals_fresh(monkeypatch, *_room_pair(points), IcpConfig(k_neighbors=k))
+
+    def test_corridor_gate_crossings_match_fresh(self, monkeypatch):
+        # A 3 cm correspondence limit on a 1,500-point corridor: rows cross
+        # the distance gate from one iteration to the next.
+        target = generate_scene(SceneSpec(SceneKind.CORRIDOR, point_count=1500, seed=15))
+        source = generate_scene(SceneSpec(SceneKind.CORRIDOR, point_count=1500, seed=16)).points
+        source = source + 0.01 * np.random.default_rng(17).standard_normal(source.shape)
+        config = IcpConfig(max_correspondence_distance=0.03)
+        stats = _assert_carried_equals_fresh(
+            monkeypatch, source, target.points, Pose(np.eye(3), [0.2, 0.004, -0.003]), config)
+        assert len({s.rejected_distance for s in stats}) > 1
+
+    def test_target_of_k_points_matches_fresh(self, monkeypatch):
+        # With exactly k target points there is no (k+1)-th neighbour.
+        rng = np.random.default_rng(3)
+        target = rng.uniform(-1.0, 1.0, (5, 3)) * [1.0, 1.0, 0.1]
+        source = rng.uniform(-1.0, 1.0, (300, 3)) * [1.0, 1.0, 0.1]
+        init = Pose(exp_so3([0.01, 0.02, 0.03]), [0.05, -0.02, 0.01])
+        _assert_carried_equals_fresh(monkeypatch, source, target, init, IcpConfig(k_neighbors=5))
+
+    def test_tied_rows_are_queried_every_time(self):
+        # Above a grid point the four next neighbour distances tie exactly,
+        # so the row has no slack and each query must cover it, even at an
+        # unchanged pose. The rows off the grid have no ties.
+        target = _grid(24)
+        tied = target[::3]
+        off_grid = np.random.default_rng(4).uniform(-1.2, 1.2, (200, 3)) * [1.0, 1.0, 0.0]
+        source = np.concatenate([tied, off_grid])
+        config = IcpConfig()
+        tree = _QueryRecorder(target)
+        carry = registration._Carry(source.shape[0], config.k_neighbors)
+        for dz in (0.05, 0.05, 0.0501, 0.05):
+            pose = Pose(np.eye(3), [0.0, 0.0, dz])
+            _assert_same_features(extract_features(source, target, pose, config, tree=tree, carry=carry),
+                                  extract_features(source, target, pose, config))
+        assert tree.sizes[:2] == [source.shape[0], tied.shape[0]]
+        assert all(tied.shape[0] <= size < source.shape[0] for size in tree.sizes[2:])
+
+    def test_later_queries_cover_fewer_rows(self, monkeypatch):
+        # Near convergence most rows have moved less than their slack, so
+        # later iterations query and fit only part of the source.
+        source, target, init = _room_pair(20000)
+        tree = _QueryRecorder(target)
+        monkeypatch.setattr(registration, "cKDTree", lambda data: tree)
+        fitted = _count_fits(monkeypatch)
+        result = icp(source, target, init, IcpConfig())
+        assert len(tree.sizes) == len(fitted) == len(result.iterations)
+        assert tree.sizes[0] == fitted[0] == source.shape[0]
+        assert min(tree.sizes[1:]) < source.shape[0] and min(fitted[1:]) < source.shape[0]
+
+    def test_unmoved_rows_query_and_fit_nothing(self, monkeypatch):
+        # A second linearization at the same pose queries and fits zero rows,
+        # through one call each, and repeats the first.
+        source, target, init = _room_pair(2000)
+        config = IcpConfig()
+        tree = _QueryRecorder(target)
+        fitted = _count_fits(monkeypatch)
+        carry = registration._Carry(source.shape[0], config.k_neighbors)
+        first = extract_features(source, target, init, config, tree=tree, carry=carry)
+        second = extract_features(source, target, init, config, tree=tree, carry=carry)
+        assert tree.sizes == fitted == [2000, 0]
+        _assert_same_features(second, first)
 
 
 class TestIcp:
