@@ -508,10 +508,7 @@ def main(argv=None) -> int:
     except NoCorrespondences as exc:
         print(f"error: no correspondences: {exc}", file=sys.stderr)
         return 1
-    except DegenIcpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError) as exc:
+    except (DegenIcpError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -219,27 +219,32 @@ def solve_update(bundle: HessianBundle, method: SolverMethod, sigma_r: float = 1
     return UpdateSolution(x, gamma, tuple(reports), info)
 
 
-class _Carry:
-    """Per source row, what one ICP run carries between linearizations: the
-    ordered neighbours, world position and squared slack (negative: none) of
-    its last query, its distance gate, whether its fit is current and
-    collinear, and the world normal and normal covariance of each kept fit."""
+# Fit state of a source row in _Carry.fit.
+_STALE, _COLLINEAR, _OUTLIER, _KEPT = range(4)
 
-    def __init__(self, rows: int, k: int):
-        self.idx = np.full((rows, k), -1, dtype=np.intp)
+
+class _Carry:
+    """The per-run state of registration: the target's kd-tree, the
+    neighbour count k = min(k_neighbors, target points), and per source row
+    the ordered neighbours, world position and squared slack (negative:
+    none) of its last query, its distance gate, its fit state, and the world
+    normal and normal covariance of its fit if kept."""
+
+    def __init__(self, rows: int, target: Array, k_neighbors: int):
+        if rows == 0 or target.shape[0] == 0:
+            raise ValueError("source and target clouds must be nonempty")
+        self.k = min(k_neighbors, target.shape[0])
+        if self.k < 3:
+            raise NoCorrespondences("target cloud too small for plane fitting")
+        self.tree = cKDTree(target)
+        self.idx = np.full((rows, self.k), -1, dtype=np.intp)
         self.origin, self.slack2 = np.zeros((rows, 3)), np.full(rows, -1.0)
-        self.near, self.fitted, self.collinear = (np.zeros(rows, dtype=bool) for _ in range(3))
-        self.rows, self.normals, self.covs = np.empty(0, dtype=np.intp), np.empty((0, 3)), np.empty((0, 3, 3))
+        self.near, self.fit = np.zeros(rows, dtype=bool), np.full(rows, _STALE, dtype=np.int8)
+        self.normals, self.covs = np.empty((rows, 3)), np.empty((rows, 3, 3))
 
 
 def extract_features(
-    source,
-    target,
-    pose: Pose,
-    config: IcpConfig,
-    tree: cKDTree | None = None,
-    *,
-    carry: _Carry | None = None,
+    source, target, pose: Pose, config: IcpConfig, *, carry: _Carry | None = None
 ) -> tuple[HessianBundle, FeatureStats]:
     """Build sensor-frame plane features for one linearization.
 
@@ -253,37 +258,33 @@ def extract_features(
     with its offset leaves every accumulated term unchanged. Each kd-tree
     query thread fills its own rows, so no result depends on the thread count.
 
-    icp carries each row's neighbours and fit from one call to the next; a
-    call without a carry builds a fresh one. The rule has no setting. A
-    query asks for k + 1 neighbours, at distances d_1 <= ..., and gives the
-    row a slack of min(half the smallest gap between consecutive distances,
+    icp passes one carry, which holds the target's kd-tree and k and each
+    row's neighbours and fit, from one call to the next; a call without a
+    carry builds a fresh one. The rule has no setting. A query asks for
+    k + 1 neighbours, at distances d_1 <= ..., and gives the row a slack of
+    min(half the smallest gap between consecutive distances,
     |d_1 - max_correspondence_distance|) less 1e-9 (1 + d_last). By the
     triangle inequality a row that has moved less than its slack keeps its
     ordered k neighbours and its gate decision, so only the other rows are
     queried (a tie leaves no slack), and only near rows whose neighbours
-    changed are fitted again. Outputs are bit for bit a fresh call's, and a
-    k-neighbour query's but where the kd-tree breaks a k-th/(k+1)-th tie.
+    changed are fitted again. The kept rows are read from the fit states in
+    source order. Outputs are bit for bit a fresh call's, and a k-neighbour
+    query's but where the kd-tree breaks a k-th/(k+1)-th tie.
     """
     src = np.asarray(source, dtype=np.float64).reshape(-1, 3)
     tgt = np.asarray(target, dtype=np.float64).reshape(-1, 3)
-    if src.shape[0] == 0 or tgt.shape[0] == 0:
-        raise ValueError("source and target clouds must be nonempty")
-    k = min(config.k_neighbors, tgt.shape[0])
-    if k < 3:
-        raise NoCorrespondences("target cloud too small for plane fitting")
-    if tree is None:
-        tree = cKDTree(tgt)
     if carry is None:
-        carry = _Carry(src.shape[0], k)
+        carry = _Carry(src.shape[0], tgt, config.k_neighbors)
+    k = carry.k
 
     p_world = pose.apply(src)
     moved = p_world - carry.origin
     redo = np.flatnonzero(~(np.einsum("ni,ni->n", moved, moved) < carry.slack2))
     at = p_world[redo]
-    dist, idx = tree.query(at, k=min(k + 1, tgt.shape[0]), workers=_worker_count())
+    dist, idx = carry.tree.query(at, k=min(k + 1, tgt.shape[0]), workers=_worker_count())
     # Column by column: numpy reduces slowly along a short last axis.
     old = carry.idx[redo]
-    carry.fitted[redo[np.logical_or.reduce([idx[:, j] != old[:, j] for j in range(k)])]] = False
+    carry.fit[redo[np.logical_or.reduce([idx[:, j] != old[:, j] for j in range(k)])]] = _STALE
     carry.idx[redo], carry.origin[redo] = idx[:, :k], at
     carry.near[redo] = dist[:, 0] <= config.max_correspondence_distance
     gap = np.minimum.reduce([dist[:, j + 1] - dist[:, j] for j in range(dist.shape[1] - 1)])
@@ -294,26 +295,21 @@ def extract_features(
     if not np.any(carry.near):
         raise NoCorrespondences("all correspondences beyond the distance limit")
 
-    refit = np.flatnonzero(carry.near & ~carry.fitted)
+    refit = np.flatnonzero(carry.near & (carry.fit == _STALE))
     # The variance gate of normal_covariances, as a bound on lambda2, lets
     # fit_planes skip the eigendecomposition of rows it would reject.
     min_lambda2 = config.sigma_i**2 / k / config.sigma_n_max**2 if config.sigma_n_max > 0.0 else 0.0
     batch = fit_planes(tgt[carry.idx[refit]], min_lambda2)
     keep, rot_cov_w = normal_covariances(batch, config.sigma_i, k, config.sigma_n_max)
-    stay = carry.fitted[carry.rows]
-    carry.fitted[refit], carry.collinear[refit] = True, False
-    carry.collinear[refit[batch.rows[batch.collinear]]] = True
-    rows = np.concatenate([carry.rows[stay], refit[batch.rows[keep]]])
-    order = np.argsort(rows)
-    carry.rows = rows[order]
-    carry.normals = np.concatenate([carry.normals[stay], batch.normals[keep]])[order]
-    carry.covs = np.concatenate([carry.covs[stay], rot_cov_w])[order]
+    carry.fit[refit] = _OUTLIER
+    carry.fit[refit[batch.rows[batch.collinear]]] = _COLLINEAR
+    kept = refit[batch.rows[keep]]
+    carry.fit[kept] = _KEPT
+    carry.normals[kept], carry.covs[kept] = batch.normals[keep], rot_cov_w
 
-    use = carry.near[carry.rows]
-    rows, n_w, rot_cov_w = carry.rows[use], carry.normals[use], carry.covs[use]
+    rows = np.flatnonzero(carry.near & (carry.fit == _KEPT))
+    n_w, rot_cov_w = carry.normals[rows], carry.covs[rows]
     used = rows.shape[0]
-    rejected_collinear = int(np.sum(carry.near & carry.collinear))
-    rejected_outlier = int(np.sum(carry.near)) - rejected_collinear - used
     if used == 0:
         raise NoCorrespondences("no usable features after filtering")
 
@@ -336,8 +332,8 @@ def extract_features(
         candidates=src.shape[0],
         used=used,
         rejected_distance=int(np.sum(~carry.near)),
-        rejected_collinear=rejected_collinear,
-        rejected_outlier=rejected_outlier,
+        rejected_collinear=int(np.sum(carry.near & (carry.fit == _COLLINEAR))),
+        rejected_outlier=int(np.sum(carry.near & (carry.fit == _OUTLIER))),
         residual_rms=float(np.sqrt(np.mean(residuals**2))),
     )
     return bundle, stats
@@ -348,8 +344,9 @@ def icp(source, target, init: Pose | None = None, config: IcpConfig | None = Non
 
     Each iteration linearizes in the current sensor frame, solves with the
     configured method and composes the local update on the right of the pose.
-    Source points whose neighbours cannot have changed keep them, and their
-    plane fits, from the previous iteration (extract_features; no setting).
+    One carry holds the target's kd-tree for the run, and lets source points
+    whose neighbours cannot have changed keep them, and their plane fits,
+    from the previous iteration (extract_features; no setting).
     Iteration stops when both twist norms fall below their tolerances or the
     iteration limit is reached. The final information matrix is conjugated to
     the world frame. NoCorrespondences in the first iteration is raised; in a
@@ -359,8 +356,7 @@ def icp(source, target, init: Pose | None = None, config: IcpConfig | None = Non
     cfg = config if config is not None else IcpConfig()
     pose = init if init is not None else Pose.identity()
     tgt = np.asarray(target, dtype=np.float64).reshape(-1, 3)
-    tree = cKDTree(tgt)
-    carry = _Carry(np.asarray(source).reshape(-1, 3).shape[0], min(cfg.k_neighbors, tgt.shape[0]))
+    carry = _Carry(np.asarray(source).reshape(-1, 3).shape[0], tgt, cfg.k_neighbors)
 
     iterations: list[IterationRecord] = []
     info_local = np.zeros((6, 6))
@@ -368,7 +364,7 @@ def icp(source, target, init: Pose | None = None, config: IcpConfig | None = Non
     termination = "max-iterations"
     for _ in range(cfg.max_iterations):
         try:
-            bundle, stats = extract_features(source, tgt, pose, cfg, tree=tree, carry=carry)
+            bundle, stats = extract_features(source, tgt, pose, cfg, carry=carry)
         except NoCorrespondences:
             if not iterations:
                 raise

@@ -276,11 +276,12 @@ class TestExtractFeatures:
         source = noisy_feature_arrays(generate_scene(SceneSpec(SceneKind.ROOM, point_count=points, seed=22)),
                                       NoiseSpec(0.01, 0.0, 5))[0]
         init = Pose(exp_so3([0.01, -0.01, 0.02]), [0.04, -0.03, 0.03])
-        got, got_stats = extract_features(source, target.points, init, IcpConfig())
+        config = IcpConfig(k_neighbors=5)
+        got, got_stats = extract_features(source, target.points, init, config)
 
         fit_planes = registration.fit_planes
         monkeypatch.setattr(registration, "fit_planes", lambda neighbors, *args: fit_planes(neighbors))
-        want, want_stats = extract_features(source, target.points, init, IcpConfig())
+        want, want_stats = extract_features(source, target.points, init, config)
         for name in ("hessian", "rhs", "sigma_total", "covariances"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got_stats == want_stats
@@ -298,7 +299,8 @@ class TestExtractFeatures:
         for workers in (1, 2):
             force_workers(monkeypatch, workers)
             tree = _QueryRecorder(target.points)
-            bundle, stats = extract_features(source, target.points, init, config, tree=tree)
+            monkeypatch.setattr(registration, "cKDTree", lambda data: tree)
+            bundle, stats = extract_features(source, target.points, init, config)
             assert tree.workers == [workers]
             runs.append((bundle, stats, icp(source, target.points, init, config)))
         (bundle1, stats1, result1), (bundle2, stats2, result2) = runs
@@ -398,6 +400,16 @@ class TestCarry:
         init = Pose(exp_so3([0.01, 0.02, 0.03]), [0.05, -0.02, 0.01])
         _assert_carried_equals_fresh(monkeypatch, source, target, init, IcpConfig(k_neighbors=5))
 
+    def test_collinear_rows_match_fresh(self, monkeypatch):
+        # A line of target points 1 cm apart on y = z = 0, inside the room:
+        # the source rows beside it fit exactly collinear patches.
+        line = np.column_stack([0.01 * np.arange(-100, 101), np.zeros(201), np.zeros(201)])
+        source, target, init = _room_pair(2000)
+        source = np.concatenate([source, line + 0.002 * np.random.default_rng(5).standard_normal(line.shape)])
+        stats = _assert_carried_equals_fresh(
+            monkeypatch, source, np.concatenate([target, line]), init, IcpConfig(k_neighbors=5))
+        assert all(s.rejected_collinear > 0 for s in stats)
+
     def test_tied_rows_are_queried_every_time(self):
         # Above a grid point the four next neighbour distances tie exactly,
         # so the row has no slack and each query must cover it, even at an
@@ -407,11 +419,11 @@ class TestCarry:
         off_grid = np.random.default_rng(4).uniform(-1.2, 1.2, (200, 3)) * [1.0, 1.0, 0.0]
         source = np.concatenate([tied, off_grid])
         config = IcpConfig()
-        tree = _QueryRecorder(target)
-        carry = registration._Carry(source.shape[0], config.k_neighbors)
+        carry = registration._Carry(source.shape[0], target, config.k_neighbors)
+        carry.tree = tree = _QueryRecorder(target)
         for dz in (0.05, 0.05, 0.0501, 0.05):
             pose = Pose(np.eye(3), [0.0, 0.0, dz])
-            _assert_same_features(extract_features(source, target, pose, config, tree=tree, carry=carry),
+            _assert_same_features(extract_features(source, target, pose, config, carry=carry),
                                   extract_features(source, target, pose, config))
         assert tree.sizes[:2] == [source.shape[0], tied.shape[0]]
         assert all(tied.shape[0] <= size < source.shape[0] for size in tree.sizes[2:])
@@ -419,11 +431,20 @@ class TestCarry:
     def test_later_queries_cover_fewer_rows(self, monkeypatch):
         # Near convergence most rows have moved less than their slack, so
         # later iterations query and fit only part of the source.
+        # The run builds one kd-tree, through registration.cKDTree, whose
+        # name perfbench's tree_build and knn spans replace.
         source, target, init = _room_pair(20000)
-        tree = _QueryRecorder(target)
-        monkeypatch.setattr(registration, "cKDTree", lambda data: tree)
+        trees = []
+
+        def recorded(data):
+            trees.append(_QueryRecorder(data))
+            return trees[-1]
+
+        monkeypatch.setattr(registration, "cKDTree", recorded)
         fitted = _count_fits(monkeypatch)
         result = icp(source, target, init, IcpConfig())
+        assert len(trees) == 1
+        tree = trees[0]
         assert len(tree.sizes) == len(fitted) == len(result.iterations)
         assert tree.sizes[0] == fitted[0] == source.shape[0]
         assert min(tree.sizes[1:]) < source.shape[0] and min(fitted[1:]) < source.shape[0]
@@ -433,11 +454,11 @@ class TestCarry:
         # through one call each, and repeats the first.
         source, target, init = _room_pair(2000)
         config = IcpConfig()
-        tree = _QueryRecorder(target)
         fitted = _count_fits(monkeypatch)
-        carry = registration._Carry(source.shape[0], config.k_neighbors)
-        first = extract_features(source, target, init, config, tree=tree, carry=carry)
-        second = extract_features(source, target, init, config, tree=tree, carry=carry)
+        carry = registration._Carry(source.shape[0], target, config.k_neighbors)
+        carry.tree = tree = _QueryRecorder(target)
+        first = extract_features(source, target, init, config, carry=carry)
+        second = extract_features(source, target, init, config, carry=carry)
         assert tree.sizes == fitted == [2000, 0]
         _assert_same_features(second, first)
 
