@@ -50,10 +50,10 @@ Array = NDArray[np.float64]
 # trials share a seed stream. Each worker holds one chunk's draws, (rows, N, 5)
 # values or about 14 MB.
 _CHUNK_ELEMENTS = 2**21
-# Element budget per row block of a chunk: bounds each (rows, N, 6) and
-# (rows, N, D) array built from the draws to about 1 MB, so a worker holds
-# one chunk's draws and one block. mc_direction_stats results do not depend
-# on it; the summed moment of spurious_info_demo does, in its last bits.
+# Element budget per row block of a chunk: bounds each (rows, 6, N) and
+# (rows, D, N) array built from the draws to about 1 MB, so a worker holds one
+# chunk's draws and one block. mc_direction_stats results do not depend on it
+# (no per-trial shape does); the summed moment of spurious_info_demo does.
 _BLOCK_ELEMENTS = 2**17
 
 
@@ -262,7 +262,7 @@ def _chunk_rows(n_features: int) -> int:
 
 
 def _block_rows(n_features: int, width: int) -> int:
-    """Rows per block of a chunk whose arrays have shape (rows, N, width)."""
+    """Rows per block of a chunk whose arrays have shape (rows, width, N)."""
     return max(1, _BLOCK_ELEMENTS // max(n_features * width, 1))
 
 
@@ -290,14 +290,22 @@ def _chunk_draws(rng, n_features: int, rows: int, sigma_p: float, sigma_n: float
     return eps, coeffs
 
 
-def _noisy_vectors(points, normals, weights, t1, t2, eps, coeffs) -> Array:
-    """Noisy feature vectors, shape (rows, N, 6), for draws from _chunk_draws,
-    under the small-angle normal model n + cross(n, eta) of the closed-form
-    statistics."""
-    eta = coeffs[..., 0:1] * t1 + coeffs[..., 1:2] * t2
-    p_hat = points + eps
-    n_hat = normals + np.cross(normals, eta)
-    return weights[:, None] * np.concatenate([np.cross(p_hat, n_hat), n_hat], axis=-1)
+def _noisy_vectors(points, normals, weights, t2, eps, coeffs) -> Array:
+    """Noisy feature vectors w [p_hat x n_hat; n_hat], shape (rows, 6, N), for
+    draws from _chunk_draws: p_hat = p + eps, and the small-angle normal model
+    n + cross(n, c1 t1 + c2 t2) of the closed-form statistics, written as
+    n + c1 t2 + c2 cross(n, t2) with t2 from _tangent_basis (normals as given)."""
+    nt2 = np.cross(normals, t2)
+    v = np.empty((eps.shape[0], 6, points.shape[0]))
+    p = points.T + np.moveaxis(eps, -1, -2)
+    n = v[:, 3:]
+    for i in range(3):
+        n[:, i] = normals[:, i] + coeffs[..., 0] * t2[:, i] + coeffs[..., 1] * nt2[:, i]
+    v[:, 0] = p[:, 1] * n[:, 2] - p[:, 2] * n[:, 1]
+    v[:, 1] = p[:, 2] * n[:, 0] - p[:, 0] * n[:, 2]
+    v[:, 2] = p[:, 0] * n[:, 1] - p[:, 1] * n[:, 0]
+    v *= weights
+    return v
 
 
 def mc_direction_stats(
@@ -310,8 +318,10 @@ def mc_direction_stats(
     points/normals are (N, 3) and weights (N,). All directions share the
     same draws. Normals are perturbed with the additive small-angle form,
     the model behind the closed-form statistics; the sampled vectors keep
-    the full nonlinear product of noisy point and noisy normal. Each chunk
-    of draws is evaluated in row blocks; chunk statistics are merged with
+    the full nonlinear product of noisy point and noisy normal. Chunks are
+    evaluated in row blocks, one (D, 6) @ (6, N) product per trial, as values
+    minus the noise-free ones (the same code at zero draws), so zero noise
+    gives a variance of exactly 0; chunk statistics are merged with
     Welford's update in chunk order.
     """
     if trials < 2:
@@ -321,16 +331,20 @@ def mc_direction_stats(
     n_feat = points.shape[0]
     weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (n_feat,))
     dirs = np.asarray(directions, dtype=np.float64).reshape(6, -1)
-    t1, t2 = _tangent_basis(normals)
+    t2 = _tangent_basis(normals)[1]
     block = _block_rows(n_feat, max(6, dirs.shape[1]))
+
+    def values(eps, coeffs):
+        proj = dirs.T @ _noisy_vectors(points, normals, weights, t2, eps, coeffs)  # (rows, D, N)
+        return np.square(proj).sum(axis=-1)
+
+    shift = values(np.zeros((1, n_feat, 3)), np.zeros((1, n_feat, 2)))[0]
 
     def chunk_stats(rng, m):
         eps, coeffs = _chunk_draws(rng, n_feat, m, noise.sigma_p, noise.sigma_n)
         vals = np.empty((m, dirs.shape[1]))
         for a in range(0, m, block):
-            v = _noisy_vectors(points, normals, weights, t1, t2, eps[a : a + block], coeffs[a : a + block])
-            proj = v @ dirs  # (rows, N, D)
-            vals[a : a + block] = np.sum(proj * proj, axis=1)
+            vals[a : a + block] = values(eps[a : a + block], coeffs[a : a + block]) - shift
         c_mean = vals.mean(axis=0)
         return m, c_mean, np.sum((vals - c_mean) ** 2, axis=0)
 
@@ -343,7 +357,7 @@ def mc_direction_stats(
         mean = mean + delta * (m / total)
         m2 = m2 + c_m2 + delta**2 * (count * m / total)
         count = total
-    return mean, m2 / (count - 1)
+    return shift + mean, m2 / (count - 1)
 
 
 def spurious_info_demo(
@@ -379,15 +393,15 @@ def spurious_info_demo(
     root = np.random.SeedSequence(seed)
     ss_mean, ss_solve = root.spawn(2)
 
-    t1, t2 = _tangent_basis(normals)
+    t2 = _tangent_basis(normals)[1]
     block = _block_rows(n_feat, 6)
 
     def chunk_moment(rng, m):
         eps, coeffs = _chunk_draws(rng, n_feat, m, 0.0, sigma_n)
         part = np.zeros((6, 6))
         for a in range(0, m, block):
-            vv = _noisy_vectors(points, normals, weights, t1, t2, eps[a : a + block], coeffs[a : a + block])
-            part += np.einsum("mni,mnj->ij", vv, vv)
+            vv = _noisy_vectors(points, normals, weights, t2, eps[a : a + block], coeffs[a : a + block])
+            part += np.einsum("min,mjn->ij", vv, vv)
         return part
 
     # Expectation identity by Monte Carlo (zero point noise).

@@ -261,6 +261,20 @@ class TestOracle:
         assert code == 0
 
 
+    def test_zero_noise_large_scene_passes(self, tmp_path):
+        # A kilometre-scale cylinder: values near 1e8 whose chunk means
+        # differ in their last bits gave variances of 1e-14 to 2e-11 above
+        # the 1e-15 floor when chunk statistics were taken of the raw values.
+        code = _run(
+            "oracle", "--kind", "cylinder", "--points", 500, "--trials", 3000, "--sigma-n", 0,
+            "--sigma-p", 0, "--directions", 4, "--dim", "radius=2000", "--dim", "height=4000",
+            "--out", tmp_path,
+        )
+        records = cloud_io.read_jsonl(tmp_path / "oracle.jsonl")
+        assert [r["mc_variance"] for r in records] == [0.0] * 4
+        assert code == 0
+
+
 class TestSweep:
     def test_snr_sweep_monotone(self, tmp_path):
         csv = tmp_path / "s.csv"

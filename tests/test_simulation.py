@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import force_workers, random_feature_arrays, sequential_mc_direction_stats
+from conftest import feature_vector, force_workers, random_feature_arrays, sequential_mc_direction_stats
 
 from degen_icp import (
     InvalidDimensions,
@@ -163,14 +163,14 @@ class TestApplyNoise:
     def test_small_angle_model_norm_deviates_second_order(self):
         # The Monte Carlo oracle draws normals as n + cross(n, eta).
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=300, seed=18))
-        t1, t2 = _tangent_basis(sample.normals)
+        t2 = _tangent_basis(sample.normals)[1]
 
         def vectors(rng, rows):
             eps, coeffs = _chunk_draws(rng, 300, rows, 0.0, 0.05)
-            return _noisy_vectors(sample.points, sample.normals, np.ones(300), t1, t2, eps, coeffs)
+            return _noisy_vectors(sample.points, sample.normals, np.ones(300), t2, eps, coeffs)
 
         (chunk,) = _mc_chunks(vectors, 300, 1, np.random.SeedSequence(19))
-        norms = np.linalg.norm(chunk[0, :, 3:], axis=1)
+        norms = np.linalg.norm(chunk[0, 3:], axis=0)
         assert norms.max() > 1.0
         assert abs(norms - 1.0).max() < 0.05  # ~ sigma_n^2 scale, far below sigma_n
 
@@ -190,6 +190,19 @@ class TestMcHessianStats:
         h = _noise_free_hessian(sample)
         assert mean == pytest.approx(u @ h @ u, rel=1e-12)
         assert var == 0.0
+
+    def test_zero_noise_is_deterministic_across_chunks(self):
+        # 8,000 trials on 100 features span three chunks (3,495, 3,495 and
+        # 1,010 rows); chunk means of one value that differ in their last
+        # bits must not turn into variance.
+        sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=100, seed=22))
+        directions = np.random.default_rng(23).standard_normal((6, 4))
+        means, variances = mc_direction_stats(
+            sample.points, sample.normals, 1.0, NoiseSpec(0.0, 0.0, 23), directions, 8_000
+        )
+        h = _noise_free_hessian(sample)
+        np.testing.assert_allclose(means, np.einsum("id,ij,jd->d", directions, h, directions), rtol=1e-12)
+        assert np.array_equal(variances, np.zeros(4))
 
     def test_single_feature_closed_form(self):
         sigma_n = 0.01
@@ -275,6 +288,30 @@ class TestMcHessianStats:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+class TestNoisyVectors:
+    def test_matches_per_feature_formula(self):
+        # Checks the component-major arithmetic against the model written
+        # one feature at a time: w [p_hat x n_hat; n_hat] with p_hat = p + e
+        # and n_hat = n + cross(n, eta), eta = c1 t1 + c2 t2. Half of the
+        # normals are not unit length, where cross(n, t2) is not -t1.
+        rng = np.random.default_rng(45)
+        rows, count = 4, 60
+        points = rng.uniform(-2.0, 2.0, (count, 3))
+        normals = rng.standard_normal((count, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        normals[::2] *= rng.uniform(0.5, 2.0, (count // 2, 1))
+        weights = rng.uniform(0.5, 2.0, count)
+        eps, coeffs = _chunk_draws(rng, count, rows, 0.05, 0.05)
+        t1, t2 = _tangent_basis(normals)
+        got = _noisy_vectors(points, normals, weights, t2, eps, coeffs)
+        assert got.shape == (rows, 6, count)
+        for r in range(rows):
+            for i in range(count):
+                eta = coeffs[r, i, 0] * t1[i] + coeffs[r, i, 1] * t2[i]
+                want = feature_vector(points[i] + eps[r, i], normals[i] + np.cross(normals[i], eta), weights[i])
+                np.testing.assert_allclose(got[r, :, i], want, rtol=1e-12)
 
 
 class TestMcChunks:
