@@ -226,9 +226,10 @@ _STALE, _COLLINEAR, _OUTLIER, _KEPT = range(4)
 class _Carry:
     """The per-run state of registration: the target's kd-tree, the
     neighbour count k = min(k_neighbors, target points), and per source row
-    the ordered neighbours, world position and squared slack (negative:
-    none) of its last query, its distance gate, its fit state, and the world
-    normal and normal covariance of its fit if kept."""
+    the neighbours (the nearest, then the other k - 1 by target index), world
+    position and squared slack (negative: none) of its last query, its
+    distance gate, its fit state, and the world normal and normal covariance
+    of its fit if kept."""
 
     def __init__(self, rows: int, target: Array, k_neighbors: int):
         if rows == 0 or target.shape[0] == 0:
@@ -261,15 +262,19 @@ def extract_features(
     icp passes one carry, which holds the target's kd-tree and k and each
     row's neighbours and fit, from one call to the next; a call without a
     carry builds a fresh one. The rule has no setting. A query asks for
-    k + 1 neighbours, at distances d_1 <= ..., and gives the row a slack of
-    min(half the smallest gap between consecutive distances,
-    |d_1 - max_correspondence_distance|) less 1e-9 (1 + d_last). By the
-    triangle inequality a row that has moved less than its slack keeps its
-    ordered k neighbours and its gate decision, so only the other rows are
-    queried (a tie leaves no slack), and only near rows whose neighbours
-    changed are fitted again. The kept rows are read from the fit states in
-    source order. Outputs are bit for bit a fresh call's, and a k-neighbour
-    query's but where the kd-tree breaks a k-th/(k+1)-th tie.
+    k + 1 neighbours, at distances d_1 <= ..., keeps the nearest first and
+    sorts the other k - 1 by target index, so a fit depends only on the
+    neighbour set. It gives the row a slack of min((d_2 - d_1) / 2,
+    (d_{k+1} - d_k) / 2, |d_1 - max_correspondence_distance|) less
+    1e-9 (1 + d_last), without the d_k term when the target has only k
+    points. By the triangle inequality a row that has moved less than its
+    slack keeps its nearest neighbour, its neighbour set and its gate
+    decision, so only the other rows are queried: a tie at the nearest
+    point or at the k-th/(k+1)-th leaves no slack, a tie inside the set
+    does. Only near rows whose neighbours changed are fitted again. The kept
+    rows are read from the fit states in source order. Outputs are bit for
+    bit a fresh call's, and a k-neighbour query's but where the kd-tree
+    breaks a k-th/(k+1)-th tie.
     """
     src = np.asarray(source, dtype=np.float64).reshape(-1, 3)
     tgt = np.asarray(target, dtype=np.float64).reshape(-1, 3)
@@ -282,12 +287,15 @@ def extract_features(
     redo = np.flatnonzero(~(np.einsum("ni,ni->n", moved, moved) < carry.slack2))
     at = p_world[redo]
     dist, idx = carry.tree.query(at, k=min(k + 1, tgt.shape[0]), workers=_worker_count())
+    idx[:, 1:k].sort(axis=1)  # the nearest, then the rest of the set by index
     # Column by column: numpy reduces slowly along a short last axis.
     old = carry.idx[redo]
     carry.fit[redo[np.logical_or.reduce([idx[:, j] != old[:, j] for j in range(k)])]] = _STALE
     carry.idx[redo], carry.origin[redo] = idx[:, :k], at
     carry.near[redo] = dist[:, 0] <= config.max_correspondence_distance
-    gap = np.minimum.reduce([dist[:, j + 1] - dist[:, j] for j in range(dist.shape[1] - 1)])
+    gap = dist[:, 1] - dist[:, 0]
+    if dist.shape[1] > k:
+        gap = np.minimum(gap, dist[:, k] - dist[:, k - 1])
     gate = np.abs(dist[:, 0] - config.max_correspondence_distance)
     slack = np.minimum(0.5 * gap, gate) - 1e-9 * (1.0 + dist[:, -1])
     carry.slack2[redo] = np.where(slack > 0.0, slack**2, -1.0)
@@ -345,8 +353,9 @@ def icp(source, target, init: Pose | None = None, config: IcpConfig | None = Non
     Each iteration linearizes in the current sensor frame, solves with the
     configured method and composes the local update on the right of the pose.
     One carry holds the target's kd-tree for the run, and lets source points
-    whose neighbours cannot have changed keep them, and their plane fits,
-    from the previous iteration (extract_features; no setting).
+    whose nearest neighbour, neighbour set and distance gate cannot have
+    changed keep them, and their plane fits, from the previous iteration
+    (extract_features; no setting).
     Iteration stops when both twist norms fall below their tolerances or the
     iteration limit is reached. The final information matrix is conjugated to
     the world frame. NoCorrespondences in the first iteration is raised; in a
