@@ -75,6 +75,7 @@ _FILE_KEYS = {
 _POSITIVE = ("s", "lambda_min", "kappa_max", "sigma_n_max", "sigma_r", "max_correspondence_distance",
              "translation_tol", "rotation_tol", "mean_sigmas", "var_rtol")
 _NONNEGATIVE = ("sigma_p", "sigma_i", "sigma_n")
+_SQUARED = ("sigma_p", "sigma_i", "sigma_n_max", "sigma_r", "sigma_n")  # nonzero: a normal float square
 _AT_LEAST = {"seed": 0, "k_neighbors": 3, "max_iterations": 1, "point_count": 6, "trials": 2, "directions": 1}
 
 
@@ -152,6 +153,8 @@ def _check(name: str, value, where: str | None = None) -> None:
         raise ConfigError(f"{where} must be nonnegative, got {value}")
     if name in _AT_LEAST and value < _AT_LEAST[name]:
         raise ConfigError(f"{where} must be >= {_AT_LEAST[name]}, got {value}")
+    if name in _SQUARED and value and not sys.float_info.min <= value * value < math.inf:
+        raise ConfigError(f"{where} squared must be a normal float, got {value}")
 
 
 def _check_settings(args: argparse.Namespace) -> None:

@@ -34,8 +34,8 @@ class PlaneFitBatch:
     rotations holds each fit's eigenvectors as columns, in the order of the
     descending eigenvalues; normals is the last column. Column signs are
     whatever the eigensolver returns. rows holds the index, in the fitted
-    neighborhood stack, of each of the M fits: all of the stack when nothing
-    was screened out, else the rows fit_planes' min_lambda2 screen kept.
+    neighborhood stack, of each of the M fits: the rows fit_planes'
+    min_lambda2 screen kept, all of the stack at min_lambda2 = 0.
     """
 
     normals: Array      # (M, 3)
@@ -53,17 +53,17 @@ def fit_planes(neighbors, min_lambda2: float = 0.0) -> PlaneFitBatch:
     negates a feature vector and its residual together, and the normal
     covariance R diag(var) R^T ignores column signs.
 
-    A positive min_lambda2 leaves out the rows whose middle eigenvalue is
-    certainly below it and which are certainly not collinear; at
+    The screen leaves out the rows whose middle eigenvalue is certainly
+    below min_lambda2 and which are certainly not collinear; at
     min_lambda2 = sigma_i^2 / k / sigma_n_max^2 these are rows that
-    normal_covariances would reject as outliers. Closed-form eigenvalues
-    from the six unique scatter entries of each row, a (6, M) array, screen
-    the rows; only the rest are assembled into 3x3 matrices, as in an
-    unscreened call, and eigendecomposed. The screen is exact: a row is left
-    out only when both tests clear their bounds by the margin _SCREEN_TOL,
-    far above the error of either eigenvalue computation, and eigh
-    decomposes each matrix on its own, so the fits returned are bit for bit
-    those of an unscreened call. batch.rows says which rows they are.
+    normal_covariances would reject as outliers, and at 0 there are none.
+    Closed-form eigenvalues from the six unique scatter entries of each row,
+    a (6, M) array, screen the rows; only the rest are assembled into 3x3
+    matrices and eigendecomposed. The screen is exact: a row is left out
+    only when both tests clear their bounds by the margin _SCREEN_TOL, far
+    above the error of either eigenvalue computation, and eigh decomposes
+    each matrix on its own, so the fits returned are bit for bit those of
+    the same rows at min_lambda2 = 0. batch.rows says which rows they are.
     """
     pts = np.asarray(neighbors, dtype=np.float64)
     if pts.ndim != 3 or pts.shape[-1] != 3:
@@ -79,12 +79,8 @@ def fit_planes(neighbors, min_lambda2: float = 0.0) -> PlaneFitBatch:
     mom = np.stack([np.einsum("mk,mk->m", a, b) for a, b in ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z))])
     mom /= k - 1
 
-    rows = np.arange(mom.shape[1])
-    if min_lambda2 > 0.0:
-        out = _screened_out(mom, min_lambda2)
-        if out.any():
-            rows = np.flatnonzero(~out)
-            mom = mom[:, rows]
+    rows = np.flatnonzero(~_screened_out(mom, min_lambda2))
+    mom = mom[:, rows]
 
     covs = mom[[0, 3, 4, 3, 1, 5, 4, 5, 2]].T.reshape(-1, 3, 3)
     evals, evecs = np.linalg.eigh(covs)           # ascending

@@ -219,8 +219,8 @@ def solve_update(bundle: HessianBundle, method: SolverMethod, sigma_r: float = 1
     return UpdateSolution(x, gamma, tuple(reports), info)
 
 
-# Fit state of a source row in _Carry.fit.
-_STALE, _COLLINEAR, _OUTLIER, _KEPT = range(4)
+# Outcome of a source row in _Carry.state, in FeatureStats order.
+_FAR, _COLLINEAR, _OUTLIER, _KEPT = range(4)
 
 
 class _Carry:
@@ -228,8 +228,8 @@ class _Carry:
     neighbour count k = min(k_neighbors, target points), and per source row
     the neighbours (the nearest, then the other k - 1 by target index), world
     position and squared slack (negative: none) of its last query, its
-    distance gate, its fit state, and the world normal and normal covariance
-    of its fit if kept."""
+    outcome (far, collinear, outlier or kept), and the world normal and
+    normal covariance of its fit if kept."""
 
     def __init__(self, rows: int, target: Array, k_neighbors: int):
         if rows == 0 or target.shape[0] == 0:
@@ -240,7 +240,7 @@ class _Carry:
         self.tree = cKDTree(target)
         self.idx = np.full((rows, self.k), -1, dtype=np.intp)
         self.origin, self.slack2 = np.zeros((rows, 3)), np.full(rows, -1.0)
-        self.near, self.fit = np.zeros(rows, dtype=bool), np.full(rows, _STALE, dtype=np.int8)
+        self.state = np.full(rows, _FAR, dtype=np.int8)
         self.normals, self.covs = np.empty((rows, 3)), np.empty((rows, 3, 3))
 
 
@@ -260,7 +260,7 @@ def extract_features(
     query thread fills its own rows, so no result depends on the thread count.
 
     icp passes one carry, which holds the target's kd-tree and k and each
-    row's neighbours and fit, from one call to the next; a call without a
+    row's neighbours and outcome, from one call to the next; a call without a
     carry builds a fresh one. The rule has no setting. A query asks for
     k + 1 neighbours, at distances d_1 <= ..., keeps the nearest first and
     sorts the other k - 1 by target index, so a fit depends only on the
@@ -271,10 +271,10 @@ def extract_features(
     slack keeps its nearest neighbour, its neighbour set and its gate
     decision, so only the other rows are queried: a tie at the nearest
     point or at the k-th/(k+1)-th leaves no slack, a tie inside the set
-    does. Only near rows whose neighbours changed are fitted again. The kept
-    rows are read from the fit states in source order. Outputs are bit for
-    bit a fresh call's, and a k-neighbour query's but where the kd-tree
-    breaks a k-th/(k+1)-th tie.
+    does. A queried row beyond the gate becomes far, and a near one is fitted
+    again if its neighbour set changed or it was far; the stats count these
+    outcomes. Outputs are bit for bit a fresh call's, and a k-neighbour
+    query's but where the kd-tree breaks a k-th/(k+1)-th tie.
     """
     src = np.asarray(source, dtype=np.float64).reshape(-1, 3)
     tgt = np.asarray(target, dtype=np.float64).reshape(-1, 3)
@@ -290,36 +290,36 @@ def extract_features(
     idx[:, 1:k].sort(axis=1)  # the nearest, then the rest of the set by index
     # Column by column: numpy reduces slowly along a short last axis.
     old = carry.idx[redo]
-    carry.fit[redo[np.logical_or.reduce([idx[:, j] != old[:, j] for j in range(k)])]] = _STALE
+    changed = np.logical_or.reduce([idx[:, j] != old[:, j] for j in range(k)])
+    near = dist[:, 0] <= config.max_correspondence_distance
+    refit = redo[near & (changed | (carry.state[redo] == _FAR))]
+    carry.state[redo[~near]] = _FAR
     carry.idx[redo], carry.origin[redo] = idx[:, :k], at
-    carry.near[redo] = dist[:, 0] <= config.max_correspondence_distance
     gap = dist[:, 1] - dist[:, 0]
     if dist.shape[1] > k:
         gap = np.minimum(gap, dist[:, k] - dist[:, k - 1])
     gate = np.abs(dist[:, 0] - config.max_correspondence_distance)
     slack = np.minimum(0.5 * gap, gate) - 1e-9 * (1.0 + dist[:, -1])
     carry.slack2[redo] = np.where(slack > 0.0, slack**2, -1.0)
-    del moved, redo, at, dist, idx, old, gap, gate, slack  # the first fit of a run sets the peak memory
-    if not np.any(carry.near):
-        raise NoCorrespondences("all correspondences beyond the distance limit")
+    del moved, redo, at, dist, idx, old, changed, near, gap, gate, slack  # the first fit of a run sets the peak memory
 
-    refit = np.flatnonzero(carry.near & (carry.fit == _STALE))
     # The variance gate of normal_covariances, as a bound on lambda2, lets
     # fit_planes skip the eigendecomposition of rows it would reject.
     min_lambda2 = config.sigma_i**2 / k / config.sigma_n_max**2 if config.sigma_n_max > 0.0 else 0.0
     batch = fit_planes(tgt[carry.idx[refit]], min_lambda2)
     keep, rot_cov_w = normal_covariances(batch, config.sigma_i, k, config.sigma_n_max)
-    carry.fit[refit] = _OUTLIER
-    carry.fit[refit[batch.rows[batch.collinear]]] = _COLLINEAR
+    carry.state[refit] = _OUTLIER
+    carry.state[refit[batch.rows[batch.collinear]]] = _COLLINEAR
     kept = refit[batch.rows[keep]]
-    carry.fit[kept] = _KEPT
+    carry.state[kept] = _KEPT
     carry.normals[kept], carry.covs[kept] = batch.normals[keep], rot_cov_w
 
-    rows = np.flatnonzero(carry.near & (carry.fit == _KEPT))
-    n_w, rot_cov_w = carry.normals[rows], carry.covs[rows]
-    used = rows.shape[0]
+    far, collinear, outlier, used = map(int, np.bincount(carry.state, minlength=4))
     if used == 0:
-        raise NoCorrespondences("no usable features after filtering")
+        raise NoCorrespondences(f"no usable features of {src.shape[0]}: {far} beyond the distance limit, "
+                                f"{collinear} collinear, {outlier} outliers")
+    rows = np.flatnonzero(carry.state == _KEPT)
+    n_w, rot_cov_w = carry.normals[rows], carry.covs[rows]
 
     anchors = tgt[carry.idx[rows, 0]]
     d_w = np.einsum("mi,mi->m", n_w, anchors)
@@ -339,9 +339,9 @@ def extract_features(
     stats = FeatureStats(
         candidates=src.shape[0],
         used=used,
-        rejected_distance=int(np.sum(~carry.near)),
-        rejected_collinear=int(np.sum(carry.near & (carry.fit == _COLLINEAR))),
-        rejected_outlier=int(np.sum(carry.near & (carry.fit == _OUTLIER))),
+        rejected_distance=far,
+        rejected_collinear=collinear,
+        rejected_outlier=outlier,
         residual_rms=float(np.sqrt(np.mean(residuals**2))),
     )
     return bundle, stats

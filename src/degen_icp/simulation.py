@@ -95,8 +95,8 @@ class SceneSpec:
                     f"unknown dimensions for {SceneKind(self.kind).value}: {sorted(unknown)}"
                 )
             defaults.update({k: float(v) for k, v in self.dimensions.items()})
-        if not all(0.0 < v < math.inf for v in defaults.values()):
-            raise InvalidDimensions(f"dimensions must be positive and finite, got {defaults}")
+        if not all(0.0 < v and v * v < math.inf for v in defaults.values()):
+            raise InvalidDimensions(f"dimensions must be positive with a finite square, got {defaults}")
         return defaults
 
 

@@ -84,3 +84,15 @@ def test_benchmark_tracer_installs(monkeypatch):
     restore = tracing.Tracer().install()
     restore()
     assert [dict(vars(module)) for module in modules] == before
+
+
+@pytest.mark.parametrize("workload", ["room-20k", "oracle-mc", "corridor-map"])
+def test_benchmark_check_accepts_outputs(monkeypatch, tmp_path, workload):
+    """The benchmark's output check must accept what the commands write: a
+    renamed output field or a feature count that no longer sums to the
+    source points would fail every benchmark operation, so it fails here."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads, checks = importlib.import_module("workloads"), importlib.import_module("checks")
+    op = workloads.build(workload, 5, tmp_path, tiny=True)[0]
+    code = cli.main(op.argv)
+    assert checks.check(op, code)[0] is None

@@ -529,6 +529,37 @@ class TestConfigAndErrors:
         assert _run(*argv, "--out", tmp_path / "o.csv") == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, setting",
+        [
+            (("detect", "--points", "300", "--sigma-i", "1e200"), "sigma_i"),
+            (("detect", "--points", "300", "--sigma-n-max", "1e-200"), "sigma_n_max"),
+            (("detect", "--points", "300", "--sigma-p", "1e200"), "sigma_p"),
+            (("register", "--sigma-p", "1e200"), "sigma_p"),
+            (("register", "--sigma-r", "1e200"), "sigma_r"),
+            (("register", "--sigma-r", "1e-200"), "sigma_r"),
+            (("simulate", "--sigma-n", "1e200"), "sigma_n"),
+            (("oracle", "--sigma-n", "1e200"), "sigma_n"),
+            (("sweep", "--parameter", "sigma-p", "--values", "1e200"), "sigma_p"),
+            (("simulate", "--kind", "cylinder-with-floor", "--dim", "radius=1e200"), "dimensions"),
+            (("detect", "--kind", "cylinder", "--dim", "radius=1e200", "--points", "50"), "dimensions"),
+        ],
+    )
+    def test_unsquarable_settings_exit_2(self, tmp_path, capsys, argv, setting):
+        # Python's float ** raises where * gives inf or 0: a noise setting or
+        # scene dimension whose square is not a normal float must stop the
+        # command with its name, not crash or write a NaN information matrix.
+        from degen_icp import SceneKind, SceneSpec, generate_scene
+
+        if argv[0] == "register":
+            cloud = tmp_path / "room.ply"
+            cloud_io.write_ply(cloud, generate_scene(SceneSpec(SceneKind.ROOM, point_count=300, seed=1)).points)
+            argv += ("--source", cloud, "--target", cloud)
+        out = tmp_path / "o"
+        assert _run(*argv, "--out", out) == 2
+        assert setting in capsys.readouterr().err
+        assert not out.exists()
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 

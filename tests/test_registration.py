@@ -347,10 +347,13 @@ def _grid(m, step=0.125):
 
 
 def _assert_same_features(got, want):
-    """Two extract_features results agree bit for bit."""
+    """Two extract_features results agree bit for bit, and every candidate
+    is counted once: used or rejected for one reason."""
     for f in dataclasses.fields(want[0]):
         assert np.array_equal(getattr(got[0], f.name), getattr(want[0], f.name)), f.name
     assert got[1] == want[1]
+    stats = got[1]
+    assert stats.used + stats.rejected_distance + stats.rejected_collinear + stats.rejected_outlier == stats.candidates
 
 
 def _assert_carried_equals_fresh(monkeypatch, source, target, init, config):
@@ -391,6 +394,24 @@ class TestCarry:
         stats = _assert_carried_equals_fresh(
             monkeypatch, source, target.points, Pose(np.eye(3), [0.2, 0.004, -0.003]), config)
         assert len({s.rejected_distance for s in stats}) > 1
+
+    def test_out_and_back_matches_fresh(self):
+        # The 1,500-point corridor against itself with 1 cm noise and a 3 cm
+        # gate, raised 2 cm, then 4 cm, then put back: most rows leave the
+        # gate and return, the floor rows among them with the neighbour set
+        # they left with. A row that returns must be fitted again.
+        target = generate_scene(SceneSpec(SceneKind.CORRIDOR, point_count=1500, seed=15)).points
+        source = target + 0.01 * np.random.default_rng(17).standard_normal(target.shape)
+        config = IcpConfig(max_correspondence_distance=0.03)
+        carry = registration._Carry(source.shape[0], target, config.k_neighbors)
+        stats = []
+        for dz in (0.0, 0.02, 0.04, 0.0):
+            pose = Pose(np.eye(3), [0.0, 0.0, dz])
+            got = extract_features(source, target, pose, config, carry=carry)
+            _assert_same_features(got, extract_features(source, target, pose, config))
+            stats.append(got[1])
+        assert stats[0].rejected_distance < stats[1].rejected_distance < stats[2].rejected_distance
+        assert stats[3] == stats[0]
 
     def test_target_of_k_points_matches_fresh(self, monkeypatch):
         # With exactly k target points there is no (k+1)-th neighbour.
