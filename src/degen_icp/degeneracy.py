@@ -117,8 +117,7 @@ def accumulate_arrays(points, normals, offsets, weights, point_covs, normal_covs
     covariances *= (w**2)[:, None, None]
     covariances = 0.5 * (covariances + np.swapaxes(covariances, 1, 2))
 
-    sigma_total = covariances.sum(axis=0)
-    return HessianBundle(hessian, rhs, 0.5 * (sigma_total + sigma_total.T), vectors, covariances)
+    return HessianBundle(hessian, rhs, covariances.sum(axis=0), vectors, covariances)
 
 
 def _direction_moments(bundle: HessianBundle, dirs: Array) -> tuple[Array, Array]:

@@ -21,9 +21,8 @@ Array = NDArray[np.float64]
 # lambda2 below this fraction of lambda1 marks a collinear neighborhood.
 _COLLINEAR_RATIO = 1e-12
 
-# Margin of the closed-form eigenvalue screen, as a fraction of the sum of the
-# absolute eigenvalues. The trigonometric formula is least accurate near a
-# double eigenvalue, where its error measured under 5e-9 of that sum.
+# Margin of the screen's lambda2 bounds, as a fraction of the trace. Their
+# rounding error measured under 1.2e-8 of it, at a double top pair with lambda3 = 0.
 _SCREEN_TOL = 1e-6
 
 
@@ -57,13 +56,11 @@ def fit_planes(neighbors, min_lambda2: float = 0.0) -> PlaneFitBatch:
     below min_lambda2 and which are certainly not collinear; at
     min_lambda2 = sigma_i^2 / k / sigma_n_max^2 these are rows that
     normal_covariances would reject as outliers, and at 0 there are none.
-    Closed-form eigenvalues from the six unique scatter entries of each row,
-    a (6, M) array, screen the rows; only the rest are assembled into 3x3
-    matrices and eigendecomposed. The screen is exact: a row is left out
-    only when both tests clear their bounds by the margin _SCREEN_TOL, far
-    above the error of either eigenvalue computation, and eigh decomposes
-    each matrix on its own, so the fits returned are bit for bit those of
-    the same rows at min_lambda2 = 0. batch.rows says which rows they are.
+    Two bounds on lambda2 from the trace and the principal minors of the six
+    unique scatter entries of each row, a (6, M) array, decide it; only the
+    rest are assembled into 3x3 matrices and eigendecomposed, each on its
+    own, so the fits returned are bit for bit those of the same rows at
+    min_lambda2 = 0. batch.rows says which rows they are.
     """
     pts = np.asarray(neighbors, dtype=np.float64)
     if pts.ndim != 3 or pts.shape[-1] != 3:
@@ -91,30 +88,30 @@ def fit_planes(neighbors, min_lambda2: float = 0.0) -> PlaneFitBatch:
     return PlaneFitBatch(evecs[:, :, 2], evals, evecs, collinear, rows)
 
 
+def _lambda2_bounds(mom: Array) -> tuple[Array, Array, Array]:
+    """The trace t and the bounds lo <= lambda2 <= hi of _screened_out."""
+    a00, a11, a22, a01, a02, a12 = mom
+    t = a00 + a11 + a22
+    with np.errstate(invalid="ignore"):  # 0 / 0 where t == 0
+        # r = c / t^2 is at most 1/3; dividing before squaring t keeps an overflow in NaN or inf.
+        r = ((a00 * a11 - a01**2) + (a00 * a22 - a02**2) + (a11 * a22 - a12**2)) / t / t
+    return t, 0.5 * t * r, 2.0 * t * r / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * r, 0.0)))
+
+
 def _screened_out(mom: Array, min_lambda2: float) -> NDArray[np.bool_]:
-    """Columns of a (6, M) stack of symmetric 3x3 matrices, given by their
+    """Columns of a (6, M) stack of symmetric PSD 3x3 matrices, given by their
     entries a00, a11, a22, a01, a02, a12, whose middle eigenvalue is
     certainly below min_lambda2 and certainly above the collinear bound.
 
-    The eigenvalues come from the trigonometric solution of the
-    characteristic cubic: with q = tr(A) / 3, p^2 = |A - qI|_F^2 / 6 and
-    r = det((A - qI) / p) / 2, they are q + 2p cos(acos(r) / 3 + 2 pi j / 3).
-    A column with p == 0 (a multiple of I, zero scatter included) gives NaN
-    and is never screened out.
+    With the trace t and the sum c = l1 l2 + l1 l3 + l2 l3 of the principal
+    2x2 minors: x^2 - t x + c equals l1 l3 >= 0 at x = l2, and l2 <= t / 2,
+    so l2 <= hi = 2c / (t + sqrt(t^2 - 4c)), exact when l3 = 0; and
+    c <= l2 (2 l1 + l2) <= 2 t l2, so l2 >= lo = c / (2t). Both must clear
+    their test by _SCREEN_TOL t. A zero-trace column gives NaN and stays in.
     """
-    a00, a11, a22, a01, a02, a12 = mom
-    q = (a00 + a11 + a22) / 3.0
-    d00, d11, d22 = a00 - q, a11 - q, a22 - q
-    p = np.sqrt((d00**2 + d11**2 + d22**2 + 2.0 * (a01**2 + a02**2 + a12**2)) / 6.0)
-    with np.errstate(invalid="ignore"):  # 0 / 0 where p == 0
-        b00, b11, b22, b01, b02, b12 = (v / p for v in (d00, d11, d22, a01, a02, a12))
-    r = (b00 * (b11 * b22 - b12**2) - b01 * (b01 * b22 - b12 * b02) + b02 * (b01 * b12 - b11 * b02)) / 2.0
-    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
-    l1 = q + 2.0 * p * np.cos(phi)
-    l3 = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    l2 = 3.0 * q - l1 - l3
-    tol = _SCREEN_TOL * (np.abs(l1) + np.abs(l2) + np.abs(l3))
-    return (l2 + tol < min_lambda2) & (l2 - tol > _COLLINEAR_RATIO * (l1 + tol))
+    t, lo, hi = _lambda2_bounds(mom)
+    tol = _SCREEN_TOL * t
+    return (hi + tol < min_lambda2) & (lo - tol > _COLLINEAR_RATIO * (t + tol))
 
 
 def normal_covariances(

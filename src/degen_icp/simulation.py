@@ -17,7 +17,6 @@ same for any worker count.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -95,8 +94,16 @@ class SceneSpec:
                     f"unknown dimensions for {SceneKind(self.kind).value}: {sorted(unknown)}"
                 )
             defaults.update({k: float(v) for k, v in self.dimensions.items()})
-        if not all(0.0 < v and v * v < math.inf for v in defaults.values()):
-            raise InvalidDimensions(f"dimensions must be positive with a finite square, got {defaults}")
+        # The direction variance sums 2 t_i^2 + 4 t_i (u^T v_i)^2 over the
+        # features, quartic in coordinates, which reach 1.25 times the largest
+        # dimension: it stays finite while point_count (2 v)^4 does.
+        limit = (np.finfo(np.float64).max / max(self.point_count, 1)) ** 0.25 / 2.0
+        for name, v in defaults.items():
+            if not 0.0 < v <= limit:
+                raise InvalidDimensions(
+                    f"dimensions must be positive and at most {limit:.4g} at {self.point_count} points, "
+                    f"got {name}={v!r}"
+                )
         return defaults
 
 

@@ -560,6 +560,39 @@ class TestConfigAndErrors:
         assert setting in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, dimension",
+        [
+            (("detect", "--kind", "cylinder", "--dim", "radius=1e154", "--points", "50"), "radius=1e+154"),
+            (("simulate", "--kind", "cylinder-with-floor", "--dim", "radius=1e154", "--points", "50"),
+             "radius=1e+154"),
+            (("oracle", "--kind", "room", "--points", "50", "--trials", "100", "--dim", "width=1e80",
+              "--directions", "2"), "width=1e+80"),
+        ],
+    )
+    def test_overflowing_dimensions_exit_2(self, tmp_path, capsys, argv, dimension):
+        # A dimension with a finite square can still overflow the quartic
+        # noise variance: these printed NaN with exit 0, or failed with exit 1.
+        out = tmp_path / "o"
+        assert _run(*argv, "--out", out) == 2
+        assert dimension in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["detect", "simulate", "oracle"])
+    def test_dimension_inside_bound_runs_finite(self, tmp_path, command):
+        # The largest radius accepted at 50 points: (float max / 50)^(1/4) / 2.
+        radius = (sys.float_info.max / 50) ** 0.25 / 2.0
+        argv = [command, "--kind", "cylinder-with-floor", "--points", 50, "--out", tmp_path]
+        assert _run(*argv, "--dim", f"radius={radius * 1.001!r}") == 2
+        extra = ["--trials", 100, "--directions", 2] if command == "oracle" else []
+        assert _run(*argv, *extra, "--dim", f"radius={radius!r}") == 0
+        if command == "simulate":
+            values = [cloud_io.load_cloud(tmp_path / f"{name}.ply")[0] for name in ("clean", "noisy")]
+        else:
+            records = cloud_io.read_jsonl(tmp_path / f"{command}.jsonl")
+            values = [[v for v in r.values() if isinstance(v, float)] for r in records]
+        assert all(np.isfinite(v).all() for v in values)
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -580,6 +613,19 @@ def test_command_reads_only_its_flags(command):
     parser = commands.choices[command]
     options = {opt for action in parser._actions for opt in action.option_strings} - {"-h", "--help"}
     assert options == set(COMMAND_FLAGS[command].split()) | {"--config", "--out"}
+
+
+def test_output_digest_commands_parse():
+    # tools/output_digest.py's command list must stay valid CLI input.
+    import importlib.util
+
+    path = README.parent / "tools" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for _, argv in tool.COMMANDS:
+        cli.build_parser().parse_args([a.format(tmp="t") for a in argv] + ["--out", "o"])
+    assert len(tool.COMMANDS) == 15
 
 
 def test_readme_config_schema_runs(tmp_path):

@@ -144,6 +144,8 @@ class TestAccumulate:
         spd = 0.02**2 * (m @ np.swapaxes(m, 1, 2) + 0.1 * np.eye(3))
         for point_covs in (point_cov, spd):
             bundle = accumulate_arrays(points, normals, offsets, weights, point_covs, normal_covs)
+            assert np.array_equal(bundle.covariances, np.swapaxes(bundle.covariances, 1, 2))
+            assert np.array_equal(bundle.sigma_total, bundle.sigma_total.T)
             point_covs = np.broadcast_to(point_covs, (40, 3, 3))
             for i in range(40):
                 v = feature_vector(points[i], normals[i], weights[i])

