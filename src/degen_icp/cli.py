@@ -67,13 +67,11 @@ _FILE_KEYS = {
     "sensor.sigma_p": "sigma_p", "sensor.sigma_i": "sigma_i", "sensor.sigma_n_max": "sigma_n_max",
     "sensor.sigma_r": "sigma_r",
     "icp.k_neighbors": "k_neighbors", "icp.max_iterations": "max_iterations",
-    "icp.translation_tol": "translation_tol", "icp.rotation_tol": "rotation_tol",
     "icp.max_correspondence_distance": "max_correspondence_distance",
     "scene.kind": "kind", "scene.dimensions": "dimensions", "scene.point_count": "point_count",
     "noise.sigma_n": "sigma_n",
 }
-_POSITIVE = ("s", "lambda_min", "kappa_max", "sigma_n_max", "sigma_r", "max_correspondence_distance",
-             "translation_tol", "rotation_tol", "mean_sigmas", "var_rtol")
+_POSITIVE = ("s", "lambda_min", "kappa_max", "sigma_n_max", "sigma_r", "max_correspondence_distance")
 _NONNEGATIVE = ("sigma_p", "sigma_i", "sigma_n")
 _SQUARED = ("sigma_p", "sigma_i", "sigma_n_max", "sigma_r", "sigma_n")  # nonzero: a normal float square
 _AT_LEAST = {"seed": 0, "k_neighbors": 3, "max_iterations": 1, "point_count": 6, "trials": 2, "directions": 1}
@@ -199,14 +197,6 @@ def _report_record(index: int, report) -> dict:
     }
 
 
-def _print_report_table(reports) -> None:
-    print(f"{'dir':>3}  {'eigenvalue':>12}  {'noise_mean':>12}  {'noise_std':>12}  {'probability':>11}")
-    for k, r in enumerate(reports, start=1):
-        print(
-            f"{k:>3}  {r.signal:>12.5g}  {r.noise_mean:>12.5g}  {r.noise_std:>12.5g}  {r.probability:>11.6f}"
-        )
-
-
 def _scene_manifest(spec: SceneSpec, sample, noise: NoiseSpec, files: dict[str, str]) -> dict:
     manifest = {
         "version": _SCHEMA_VERSION,
@@ -248,19 +238,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _detect_reports(args: argparse.Namespace):
+def cmd_detect(args: argparse.Namespace) -> int:
     if args.cloud is not None:
         points, _ = cloud_io.load_cloud(args.cloud)
     else:
         sample = generate_scene(_scene_spec(args))
         points = noisy_feature_arrays(sample, NoiseSpec(args.sigma_p, 0.0, args.seed + 1))[0]
     bundle, stats = extract_features(points, points, Pose.identity(), _icp_config(args))
-    return analyze(bundle, args.s), stats
-
-
-def cmd_detect(args: argparse.Namespace) -> int:
-    reports, stats = _detect_reports(args)
-    _print_report_table(reports)
+    reports = analyze(bundle, args.s)
+    print(f"{'dir':>3}  {'eigenvalue':>12}  {'noise_mean':>12}  {'noise_std':>12}  {'probability':>11}")
+    for k, r in enumerate(reports, start=1):
+        print(
+            f"{k:>3}  {r.signal:>12.5g}  {r.noise_mean:>12.5g}  {r.noise_std:>12.5g}  {r.probability:>11.6f}"
+        )
     print(
         f"features: used {stats.used}/{stats.candidates} "
         f"(distance {stats.rejected_distance}, collinear {stats.rejected_collinear}, "
@@ -317,6 +307,9 @@ def cmd_register(args: argparse.Namespace) -> int:
     return 1 if result.termination == "no-correspondences" else 0
 
 
+_MEAN_SIGMAS, _VAR_RTOL = 3.0, 0.1  # criterion 1's: means within 3 standard errors, variances within 10%
+
+
 def cmd_oracle(args: argparse.Namespace) -> int:
     sample = generate_scene(_scene_spec(args))
     noise = NoiseSpec(args.sigma_p, args.sigma_n, args.seed + 1)
@@ -328,6 +321,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed + 2)
     directions = rng.standard_normal((6, args.directions))
     directions /= np.linalg.norm(directions, axis=0, keepdims=True)
+    # The analytic side first, so statistics that overflow raise before the Monte Carlo run.
+    analytic = [direction_stats(bundle, u) for u in directions.T]
     mc_means, mc_vars = mc_direction_stats(
         sample.points, sample.normals, weights, noise=noise, directions=directions, trials=args.trials
     )
@@ -335,15 +330,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     all_ok = True
     records = []
     print(f"{'dir':>3}  {'analytic_mean':>14}  {'mc_mean':>14}  {'analytic_var':>14}  {'mc_var':>14}  ok")
-    for d in range(args.directions):
+    for d, (mu, sigma2) in enumerate(analytic):
         u = directions[:, d]
-        mu, sigma2 = direction_stats(bundle, u)
-        signal = float(u @ bundle.hessian @ u)
-        a_mean = signal + mu
+        a_mean = float(u @ bundle.hessian @ u) + mu
         se = float(np.sqrt(mc_vars[d] / args.trials))
         # At zero noise se is rounding alone, so the floor scales with the mean.
-        mean_ok = abs(a_mean - mc_means[d]) <= args.mean_sigmas * se + 1e-10 * abs(a_mean)
-        var_ok = abs(sigma2 - mc_vars[d]) <= args.var_rtol * mc_vars[d] + 1e-15
+        mean_ok = abs(a_mean - mc_means[d]) <= _MEAN_SIGMAS * se + 1e-10 * abs(a_mean)
+        var_ok = abs(sigma2 - mc_vars[d]) <= _VAR_RTOL * mc_vars[d] + 1e-15
         ok = mean_ok and var_ok
         all_ok &= ok
         print(
@@ -442,8 +435,6 @@ def _add_feature_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma-i", type=float, default=IcpConfig.sigma_i, help="plane-fit neighbor noise std (m)")
     p.add_argument("--sigma-n-max", type=float, default=IcpConfig.sigma_n_max, help="normal outlier threshold")
     p.add_argument("--k-neighbors", type=int, default=IcpConfig.k_neighbors, help="neighbors per plane fit")
-    p.add_argument("--max-correspondence-distance", type=float, default=IcpConfig.max_correspondence_distance,
-                   help="correspondence gate (m)")
     p.add_argument("--s", type=float, default=Probabilistic.s, help="signal-to-noise target")
 
 
@@ -473,18 +464,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa-max", type=float, default=1e4, help="condition-number threshold")
     p.add_argument("--sigma-r", type=float, default=IcpConfig.sigma_r, help="residual std (m)")
     p.add_argument("--max-iterations", type=int, default=IcpConfig.max_iterations, help="iteration limit")
+    p.add_argument("--max-correspondence-distance", type=float, default=IcpConfig.max_correspondence_distance,
+                   help="correspondence gate (m)")
     p.add_argument("--source", type=Path, required=True, help="cloud to move")
     p.add_argument("--target", type=Path, required=True, help="cloud to register onto")
     p.add_argument("--init", type=Path, help="initial pose file (16 numbers, row-major)")
-    p.set_defaults(translation_tol=IcpConfig.translation_tol, rotation_tol=IcpConfig.rotation_tol)  # file only
 
     p = _command(sub, "oracle", "analytic vs Monte Carlo noise statistics", cmd_oracle)
     _add_scene_flags(p)
     p.add_argument("--sigma-n", **sigma_n)
     p.add_argument("--trials", type=int, default=20000, help="Monte Carlo draws")
     p.add_argument("--directions", type=int, default=4, help="random unit directions checked")
-    p.add_argument("--mean-sigmas", type=float, default=3.0, help="mean tolerance in standard errors")
-    p.add_argument("--var-rtol", type=float, default=0.1, help="relative variance tolerance")
 
     p = _command(sub, "sweep", "probability curves over a parameter range", cmd_sweep)
     _add_scene_flags(p)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import EmptyFeatureSet, NotUnitLength
+from .errors import EmptyFeatureSet, NoiseOverflow, NotUnitLength
 from .geometry import skew
 
 __all__ = [
@@ -106,8 +106,7 @@ def accumulate_arrays(points, normals, offsets, weights, point_covs, normal_covs
 
     vectors = w[:, None] * np.concatenate([np.cross(p, n), n], axis=1)
     residuals = -w * (np.einsum("ni,ni->n", n, p) - d)
-    hessian = vectors.T @ vectors
-    hessian = 0.5 * (hessian + hessian.T)
+    hessian = vectors.T @ vectors  # one symmetric product, exactly symmetric
     rhs = vectors.T @ residuals
 
     a = skew(n)
@@ -125,14 +124,20 @@ def _direction_moments(bundle: HessianBundle, dirs: Array) -> tuple[Array, Array
     dirs (6, D).
 
     The mean is u^T Sigma u over the total noise covariance; the variance
-    sums, per feature, 2*(u^T S_i u)^2 + 4*(u^T S_i u)*(u^T v_i)^2.
+    sums, per feature, 2*(u^T S_i u)^2 + 4*(u^T S_i u)*(u^T v_i)^2. Either
+    one not finite raises NoiseOverflow.
     """
-    mu = np.einsum("ij,ik,jk->k", bundle.sigma_total, dirs, dirs)
-    np.clip(mu, 0.0, None, out=mu)
-    t = np.einsum("nij,ik,jk->nk", bundle.covariances, dirs, dirs)
-    np.clip(t, 0.0, None, out=t)
-    dv = bundle.vectors @ dirs
-    return mu, np.sum(2.0 * t * t + 4.0 * t * dv * dv, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = np.einsum("ij,ik,jk->k", bundle.sigma_total, dirs, dirs)
+        np.clip(mu, 0.0, None, out=mu)
+        t = np.einsum("nij,ik,jk->nk", bundle.covariances, dirs, dirs)
+        np.clip(t, 0.0, None, out=t)
+        dv = bundle.vectors @ dirs
+        var = np.sum(2.0 * t * t + 4.0 * t * dv * dv, axis=0)
+    if not (np.isfinite(mu).all() and np.isfinite(var).all()):
+        raise NoiseOverflow(f"the noise statistics of a direction overflow the float range: mean "
+                            f"{mu.max():.3g}, variance {var.max():.3g}; scale coordinates or noise down")
+    return mu, var
 
 
 def direction_stats(bundle: HessianBundle, u) -> tuple[float, float]:

@@ -33,5 +33,9 @@ class InvalidDimensions(DegenIcpError):
     """Scene dimensions or point counts are out of range."""
 
 
+class NoiseOverflow(DegenIcpError):
+    """The noise mean or variance of a direction overflows the float range."""
+
+
 class ConfigError(DegenIcpError):
     """A configuration file or flag value failed validation."""

@@ -92,7 +92,7 @@ def _lambda2_bounds(mom: Array) -> tuple[Array, Array, Array]:
     """The trace t and the bounds lo <= lambda2 <= hi of _screened_out."""
     a00, a11, a22, a01, a02, a12 = mom
     t = a00 + a11 + a22
-    with np.errstate(invalid="ignore"):  # 0 / 0 where t == 0
+    with np.errstate(over="ignore", invalid="ignore"):  # 0 / 0 where t == 0, and overflows
         # r = c / t^2 is at most 1/3; dividing before squaring t keeps an overflow in NaN or inf.
         r = ((a00 * a11 - a01**2) + (a00 * a22 - a02**2) + (a11 * a22 - a12**2)) / t / t
     return t, 0.5 * t * r, 2.0 * t * r / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * r, 0.0)))

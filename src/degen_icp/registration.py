@@ -148,8 +148,6 @@ class IcpConfig:
     sigma_r: float = 0.015
     k_neighbors: int = 5
     max_iterations: int = 30
-    translation_tol: float = 1e-4
-    rotation_tol: float = 1e-4
     max_correspondence_distance: float = 1.0
 
 
@@ -356,8 +354,8 @@ def icp(source, target, init: Pose | None = None, config: IcpConfig | None = Non
     whose nearest neighbour, neighbour set and distance gate cannot have
     changed keep them, and their plane fits, from the previous iteration
     (extract_features; no setting).
-    Iteration stops when both twist norms fall below their tolerances or the
-    iteration limit is reached. The final information matrix is conjugated to
+    Iteration stops when both twist norms, rotation (rad) and translation
+    (m), fall below 1e-4 or the iteration limit is reached. The final information matrix is conjugated to
     the world frame. NoCorrespondences in the first iteration is raised; in a
     later one it ends the run, unconverged, with termination
     "no-correspondences" and the iterations so far.
@@ -385,7 +383,7 @@ def icp(source, target, init: Pose | None = None, config: IcpConfig | None = Non
         step_trans = float(np.linalg.norm(sol.twist[3:]))
         iterations.append(IterationRecord(sol, stats, step_rot, step_trans))
         info_local = sol.information
-        if step_rot < cfg.rotation_tol and step_trans < cfg.translation_tol:
+        if step_rot < 1e-4 and step_trans < 1e-4:
             converged = True
             termination = "converged"
             break

@@ -63,8 +63,8 @@ def test_errors_are_raised():
 
 
 def test_icp_config_fields_settable():
-    """Every IcpConfig field is a setting register reads: a flag or a
-    set_defaults entry of its parser gives it a non-None default."""
+    """Every IcpConfig field is a setting register reads: a flag of its
+    parser gives it a non-None default."""
     commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     register = commands.choices["register"]
     unsettable = [f.name for f in dataclasses.fields(IcpConfig) if register.get_default(f.name) is None]

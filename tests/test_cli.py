@@ -379,10 +379,14 @@ class TestConfigAndErrors:
             assert _run("simulate", "--config", path) == 2
             assert f"unsupported version {version!r} (expected 1)" in capsys.readouterr().err
 
-    def test_unknown_config_key(self, tmp_path):
+    def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 1, "sensor": {"sigma_q": 1.0}}))
         assert _run("simulate", "--config", path) == 2
+        # No step tolerance key: icp stops at one fixed tolerance.
+        path.write_text(json.dumps({"version": 1, "icp": {"translation_tol": 1e-4}}))
+        assert _run("simulate", "--config", path, "--out", tmp_path / "o") == 2
+        assert "unknown keys ['icp.translation_tol']" in capsys.readouterr().err
 
     def test_invalid_flag_value(self, tmp_path):
         assert _run("detect", "--kind", "room", "--sigma-p", -0.5) == 2
@@ -468,9 +472,10 @@ class TestConfigAndErrors:
 
     def test_config_range_error_names_file_and_key(self, tmp_path, capsys):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"version": 1, "icp": {"translation_tol": -1}}))
+        path.write_text(json.dumps({"version": 1, "icp": {"max_correspondence_distance": -1}}))
         assert _register_with_init(tmp_path, "1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1", "--config", path) == 2
-        assert f"config {path}: icp.translation_tol must be positive, got -1.0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config {path}: icp.max_correspondence_distance must be positive, got -1.0" in err
 
     @pytest.mark.parametrize(
         "body, key",
@@ -505,6 +510,11 @@ class TestConfigAndErrors:
             ("simulate", "--method", "standard"),
             ("simulate", "--poin", "300"),
             ("simulate", "--dim", "width"),
+            # Not flags: detect's self-registration never reaches the gate, and the
+            # oracle's tolerances are criterion 1's.
+            ("detect", "--max-correspondence-distance", "1"),
+            ("oracle", "--var-rtol", "0.1"),
+            ("oracle", "--mean-sigmas", "3"),
         ],
     )
     def test_parser_rejects(self, argv):
@@ -593,16 +603,35 @@ class TestConfigAndErrors:
             values = [[v for v in r.values() if isinstance(v, float)] for r in records]
         assert all(np.isfinite(v).all() for v in values)
 
+    @pytest.mark.parametrize("case", ["detect-scaled-cloud", "detect-sigma-p", "oracle-sigma-p"])
+    def test_overflowing_noise_statistics_exit_1(self, tmp_path, capsys, case):
+        # These wrote Infinity or probabilities of 0.5 with exit 0, or failed
+        # the oracle's tolerance on an inf analytic and a NaN Monte Carlo variance.
+        out = tmp_path / "o"
+        if case == "oracle-sigma-p":
+            argv = ("oracle", "--kind", "room", "--points", 50, "--trials", 100, "--directions", 2,
+                    "--sigma-p", "1e100")
+        else:
+            assert _run("simulate", "--kind", "room", "--points", 300, "--seed", 3, "--out", tmp_path) == 0
+            cloud = tmp_path / "noisy.ply"
+            if case == "detect-scaled-cloud":
+                cloud_io.write_ply(cloud, 1e100 * cloud_io.load_cloud(cloud)[0])
+                argv = ("detect", "--cloud", cloud, "--sigma-i", "1e98")
+            else:
+                argv = ("detect", "--cloud", cloud, "--sigma-p", "1e100")
+        assert _run(*argv, "--out", out) == 1
+        assert "noise statistics of a direction overflow" in capsys.readouterr().err
+        assert not out.exists()
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 COMMAND_FLAGS = {
     "simulate": "--sigma-p --seed --kind --dim --points --sigma-n --format",
-    "detect": "--sigma-p --seed --kind --dim --points --sigma-i --sigma-n-max --k-neighbors "
-    "--max-correspondence-distance --s --cloud",
-    "register": "--sigma-p --sigma-i --sigma-n-max --k-neighbors --max-correspondence-distance --s "
-    "--method --lambda-min --kappa-max --sigma-r --max-iterations --source --target --init",
-    "oracle": "--sigma-p --seed --kind --dim --points --sigma-n --trials --directions --mean-sigmas --var-rtol",
+    "detect": "--sigma-p --seed --kind --dim --points --sigma-i --sigma-n-max --k-neighbors --s --cloud",
+    "register": "--sigma-p --sigma-i --sigma-n-max --k-neighbors --s --method --lambda-min --kappa-max "
+    "--sigma-r --max-iterations --max-correspondence-distance --source --target --init",
+    "oracle": "--sigma-p --seed --kind --dim --points --sigma-n --trials --directions",
     "sweep": "--sigma-p --seed --kind --dim --points --sigma-n --s --parameter --values",
 }
 
@@ -625,7 +654,7 @@ def test_output_digest_commands_parse():
     spec.loader.exec_module(tool)
     for _, argv in tool.COMMANDS:
         cli.build_parser().parse_args([a.format(tmp="t") for a in argv] + ["--out", "o"])
-    assert len(tool.COMMANDS) == 15
+    assert len(tool.COMMANDS) == 17
 
 
 def test_readme_config_schema_runs(tmp_path):

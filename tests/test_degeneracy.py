@@ -12,6 +12,7 @@ from scipy.integrate import quad
 
 from degen_icp import (
     EmptyFeatureSet,
+    NoiseOverflow,
     NoiseSpec,
     NotUnitLength,
     SceneKind,
@@ -146,6 +147,7 @@ class TestAccumulate:
             bundle = accumulate_arrays(points, normals, offsets, weights, point_covs, normal_covs)
             assert np.array_equal(bundle.covariances, np.swapaxes(bundle.covariances, 1, 2))
             assert np.array_equal(bundle.sigma_total, bundle.sigma_total.T)
+            assert np.array_equal(bundle.hessian, bundle.hessian.T)
             point_covs = np.broadcast_to(point_covs, (40, 3, 3))
             for i in range(40):
                 v = feature_vector(points[i], normals[i], weights[i])
@@ -203,6 +205,14 @@ class TestDirectionStats:
         mu, s2 = direction_stats(bundle, u)
         assert mu == pytest.approx(sn**2, abs=1e-18)
         assert s2 == pytest.approx(2 * sn**4, abs=1e-22)
+
+    def test_overflow_raises(self):
+        # Finite covariances near 1e200 square past the float range in the variance.
+        bundle = accumulate_arrays([[0, 0, 0]], EZ, 0.0, 1.0, 1e100**2 * np.eye(3), ZERO3)
+        u = np.zeros(6)
+        u[0] = 1.0  # x-rotation, which the point noise reaches
+        with pytest.raises(NoiseOverflow, match="overflow the float range"):
+            direction_stats(bundle, u)
 
     def test_requires_unit_direction(self):
         bundle = accumulate_arrays([[0, 0, 0]], EZ, 0.0, 1.0, ZERO3, ZERO3)

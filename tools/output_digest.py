@@ -18,6 +18,7 @@ relative to the command's --out.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -28,6 +29,17 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # The corridor registrations start 0.2 m along the corridor's free axis.
 INIT_0_2 = "1 0 0 0.2\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"
+
+# A config file with every key at its flag's default; empty dimensions are the scene kind's own.
+DEFAULTS = {
+    "version": 1,
+    "seed": 0,
+    "method": {"name": "probabilistic", "s": 10.0, "lambda_min": 0.1, "kappa_max": 10000.0},
+    "sensor": {"sigma_p": 0.01, "sigma_i": 0.01, "sigma_n_max": 0.1, "sigma_r": 0.015},
+    "icp": {"k_neighbors": 5, "max_iterations": 30, "max_correspondence_distance": 1.0},
+    "scene": {"kind": "room", "dimensions": {}, "point_count": 2000},
+    "noise": {"sigma_n": 0.01},
+}
 
 ROOM, CORRIDOR = "{tmp}/simulate-room", "{tmp}/simulate-corridor"
 METHODS = ("probabilistic", "standard", "eigen-truncate", "solution-remap", "cond-number")
@@ -56,6 +68,10 @@ COMMANDS = [
     ("detect-room", ["detect", "--kind", "room", "--seed", "5", "--points", "1500"]),
     ("oracle", ["oracle", "--kind", "corridor", "--points", "200", "--seed", "3", "--trials", "2000",
                 "--directions", "3"]),
+    ("register-room-config",
+     ["register", "--config", "{tmp}/defaults.json", "--source", f"{ROOM}/noisy.ply",
+      "--target", f"{ROOM}/clean.ply"]),
+    ("oracle-config", ["oracle", "--config", "{tmp}/defaults.json", "--trials", "2000"]),
     ("sweep", ["sweep", "--kind", "corridor", "--points", "500", "--seed", "4", "--parameter", "s",
                "--values", "1,5,10,20"]),
 ]
@@ -68,6 +84,7 @@ def _sha256(data: bytes) -> str:
 def digests(tmp: Path) -> list[str]:
     """Run COMMANDS in tmp, in order; one line per stdout and per output file."""
     (tmp / "init.txt").write_text(INIT_0_2)
+    (tmp / "defaults.json").write_text(json.dumps(DEFAULTS))
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     lines = []
