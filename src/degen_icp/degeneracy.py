@@ -92,7 +92,8 @@ def accumulate_arrays(points, normals, offsets, weights, point_covs, normal_covs
         B = w * [B_eps | B_eta],  B_eps = [-a; 0],  B_eta = [skew(p) @ a; a]
 
     so the covariance is w^2 (B_eta normal_cov B_eta^T), plus
-    w^2 a point_cov a^T in the top-left 3x3 block.
+    w^2 a point_cov a^T in the top-left 3x3 block. A Hessian or right-hand
+    side that is not finite raises NoiseOverflow.
     """
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
@@ -106,8 +107,13 @@ def accumulate_arrays(points, normals, offsets, weights, point_covs, normal_covs
 
     vectors = w[:, None] * np.concatenate([np.cross(p, n), n], axis=1)
     residuals = -w * (np.einsum("ni,ni->n", n, p) - d)
-    hessian = vectors.T @ vectors  # one symmetric product, exactly symmetric
-    rhs = vectors.T @ residuals
+    with np.errstate(over="ignore", invalid="ignore"):
+        hessian = vectors.T @ vectors  # one symmetric product, exactly symmetric
+        rhs = vectors.T @ residuals
+    if not (np.isfinite(hessian).all() and np.isfinite(rhs).all()):
+        raise NoiseOverflow(f"the Hessian of the features or its right-hand side overflows the float range: "
+                            f"largest entries {np.abs(hessian).max():.3g} and {np.abs(rhs).max():.3g}; "
+                            "scale coordinates down")
 
     a = skew(n)
     b_eta = np.concatenate([skew(p) @ a, a], axis=1)  # (N, 6, 3)

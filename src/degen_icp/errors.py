@@ -34,7 +34,8 @@ class InvalidDimensions(DegenIcpError):
 
 
 class NoiseOverflow(DegenIcpError):
-    """The noise mean or variance of a direction overflows the float range."""
+    """The noise mean or variance of a direction, or the Hessian or
+    right-hand side of the features, overflows the float range."""
 
 
 class ConfigError(DegenIcpError):

@@ -8,17 +8,23 @@ an eigenvalue threshold or a condition-number cutoff. Solution remapping
 (projecting the full solution onto the retained eigenvectors) is the
 eigenvalue-threshold rule, since for a linear step U diag(m) U^T H^-1 g =
 U diag(m / lambda) U^T g.
+
+The kd-tree class is the module attribute cKDTree, read when a run builds its
+tree: scipy.spatial is imported at that first read (module __getattr__), not
+with the package, since it costs most of the package's import time and memory
+and only registration and detection build a tree. A caller may replace the
+attribute, e.g. with a subclass that times construction and queries.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.spatial import cKDTree
 
 from .degeneracy import (
     DirectionReport,
@@ -52,6 +58,15 @@ Array = NDArray[np.float64]
 
 # Eigenvalues at or below this are treated as numerically zero.
 _SINGULAR_EIG = 1e-12
+
+
+def __getattr__(name: str):
+    if name == "cKDTree":
+        from scipy.spatial import cKDTree
+
+        globals()["cKDTree"] = cKDTree
+        return cKDTree
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -235,7 +250,7 @@ class _Carry:
         self.k = min(k_neighbors, target.shape[0])
         if self.k < 3:
             raise NoCorrespondences("target cloud too small for plane fitting")
-        self.tree = cKDTree(target)
+        self.tree = sys.modules[__name__].cKDTree(target)
         self.idx = np.full((rows, self.k), -1, dtype=np.intp)
         self.origin, self.slack2 = np.zeros((rows, 3)), np.full(rows, -1.0)
         self.state = np.full(rows, _FAR, dtype=np.int8)

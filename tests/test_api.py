@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import degen_icp
-from degen_icp import IcpConfig, cli, cloud_io, errors, registration
+from degen_icp import (IcpConfig, Pose, SceneKind, SceneSpec, cli, cloud_io, errors, exp_so3, generate_scene,
+                       registration)
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(degen_icp.__path__))
 LISTING = [name for name in MODULES if hasattr(importlib.import_module(f"degen_icp.{name}"), "__all__")]
@@ -73,17 +74,27 @@ def test_icp_config_fields_settable():
 
 def test_benchmark_tracer_installs(monkeypatch):
     """The benchmark's tracer replaces package names by attribute; a rename it
-    does not follow must fail here, not only in traced benchmark runs."""
+    does not follow must fail here, not only in traced benchmark runs. A run
+    between install and restore records the kd-tree spans its per-layer
+    metrics read."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)  # its dataclass resolves the module by name
     spec.loader.exec_module(tracing)
     modules = (cli, cloud_io, registration)
+    registration.cKDTree  # the first read imports the kd-tree class into the module's globals
     before = [dict(vars(module)) for module in modules]
-    restore = tracing.Tracer().install()
-    restore()
+    tracer = tracing.Tracer()
+    restore = tracer.install()
+    try:
+        target = generate_scene(SceneSpec(SceneKind.ROOM, point_count=300, seed=1)).points
+        registration.icp(target, target, Pose(exp_so3([0.01, 0.0, 0.0]), [0.01, 0.0, 0.0]), IcpConfig())
+    finally:
+        restore()
     assert [dict(vars(module)) for module in modules] == before
+    names = {span.name for span in tracer.spans}
+    assert {"registration.tree_build", "registration.knn"} <= names
 
 
 @pytest.mark.parametrize("workload", ["room-20k", "oracle-mc", "corridor-map"])

@@ -603,10 +603,12 @@ class TestConfigAndErrors:
             values = [[v for v in r.values() if isinstance(v, float)] for r in records]
         assert all(np.isfinite(v).all() for v in values)
 
-    @pytest.mark.parametrize("case", ["detect-scaled-cloud", "detect-sigma-p", "oracle-sigma-p"])
+    @pytest.mark.parametrize("case", ["detect-scaled-cloud", "detect-sigma-p", "oracle-sigma-p", "detect-hessian"])
     def test_overflowing_noise_statistics_exit_1(self, tmp_path, capsys, case):
         # These wrote Infinity or probabilities of 0.5 with exit 0, or failed
-        # the oracle's tolerance on an inf analytic and a NaN Monte Carlo variance.
+        # the oracle's tolerance on an inf analytic and a NaN Monte Carlo
+        # variance. At 1e154 the Hessian product overflowed with a numpy
+        # warning and the run ended in "Eigenvalues did not converge".
         out = tmp_path / "o"
         if case == "oracle-sigma-p":
             argv = ("oracle", "--kind", "room", "--points", 50, "--trials", 100, "--directions", 2,
@@ -614,13 +616,15 @@ class TestConfigAndErrors:
         else:
             assert _run("simulate", "--kind", "room", "--points", 300, "--seed", 3, "--out", tmp_path) == 0
             cloud = tmp_path / "noisy.ply"
-            if case == "detect-scaled-cloud":
-                cloud_io.write_ply(cloud, 1e100 * cloud_io.load_cloud(cloud)[0])
-                argv = ("detect", "--cloud", cloud, "--sigma-i", "1e98")
-            else:
+            if case == "detect-sigma-p":
                 argv = ("detect", "--cloud", cloud, "--sigma-p", "1e100")
+            else:
+                scale = 1e154 if case == "detect-hessian" else 1e100
+                cloud_io.write_ply(cloud, scale * cloud_io.load_cloud(cloud)[0])
+                argv = ("detect", "--cloud", cloud, "--sigma-i", repr(scale / 100))
         assert _run(*argv, "--out", out) == 1
-        assert "noise statistics of a direction overflow" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert ("Hessian of the features" if case == "detect-hessian" else "noise statistics of a direction") in err
         assert not out.exists()
 
 
@@ -677,16 +681,53 @@ def test_readme_config_schema_runs(tmp_path):
     assert json.loads((out / "summary.json").read_text())["method"] == schema["method"]["name"]
 
 
-def test_console_entry_point():
+def _child_env():
     # The child process does not inherit pytest's pythonpath setting.
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "degen_icp.cli", "detect", "--kind", "room", "--points", "300"],
         capture_output=True,
         text=True,
         timeout=120,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "probability" in proc.stdout
+
+
+_SCIPY_PROBE = """
+import json, sys
+import degen_icp
+loaded = {"import degen_icp": "scipy" in sys.modules}
+from degen_icp import cli, registration
+loaded["import degen_icp.cli"] = "scipy" in sys.modules
+runs = {
+    "oracle": ["oracle", "--kind", "room", "--points", "50", "--trials", "100", "--directions", "2"],
+    "simulate": ["simulate"],
+    "sweep": ["sweep", "--points", "200", "--parameter", "s", "--values", "1,10"],
+    "detect": ["detect", "--kind", "room", "--points", "300"],
+}
+for name, argv in runs.items():
+    cli.main(argv + ["--out", sys.argv[1] + "/" + name])
+    loaded[name] = "scipy" in sys.modules
+import scipy.spatial
+loaded["tree class is scipy's"] = registration.cKDTree is scipy.spatial.cKDTree
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_imported_at_first_tree_build(tmp_path):
+    # scipy.spatial takes most of the package's import time and memory, and
+    # only a kd-tree build needs it, so a fresh interpreter imports it at
+    # detect's first tree and not before.
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, str(tmp_path)], capture_output=True, text=True,
+                          timeout=120, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import degen_icp": False, "import degen_icp.cli": False, "oracle": False, "simulate": False,
+        "sweep": False, "detect": True, "tree class is scipy's": True,
+    }
