@@ -3,11 +3,12 @@ degeneracy probabilities.
 
 The 6x6 Gauss-Newton Hessian of a point-to-plane problem is a sum of outer
 products of per-feature vectors v = w * [p x n; n]. Gaussian noise on the
-points and normals makes each v noisy. This module tracks, per feature, the
-first-order covariance of v; in aggregate, the expected inflation of the
-Hessian; and, for any unit direction u, the mean and variance of the noise in
-the quadratic form u^T H u. The degeneracy probability of a direction is the
-probability that its measured signal exceeds a target multiple of that noise.
+points and normals makes each v noisy. This module keeps, per feature, the
+Jacobian of v with respect to that noise and the noise covariances; from
+them it forms, for any unit direction u, the mean and variance of the noise
+in the quadratic form u^T H u. The degeneracy probability of a direction is
+the probability that its measured signal exceeds a target multiple of that
+noise.
 
 All statistics are evaluated at the measured (noisy) points and normals,
 which is what a real pipeline has available.
@@ -42,22 +43,22 @@ _UNIT_TOL = 1e-9
 
 @dataclass(frozen=True)
 class HessianBundle:
-    """Accumulated system: Hessian, right-hand side, and noise terms.
+    """Accumulated system: Hessian, right-hand side, and the per-feature
+    terms of its noise.
 
-    vectors stacks the per-feature v's (N, 6); covariances stacks the
-    per-feature noise covariances (N, 6, 6). The directional noise variance
-    is quartic in the direction, yet it reduces to a fixed-size summary: it
-    equals (u kron u)^T Q (u kron u) with
-    Q = sum_i 2 vec(S_i) vec(S_i)^T + 4 vec(S_i) vec(v_i v_i^T)^T, which is
-    21x21 once packed by symmetry. The per-feature form is kept for now, at
-    O(N) memory.
+    vectors stacks the per-feature v's (N, 6). jacobians stacks w B_eta^T
+    (N, 3, 6), the transposed normal block of the Jacobian of v (see
+    accumulate_arrays); its last three columns, w a^T, are the point block's
+    transpose up to sign. point_covs and normal_covs are the (N, 3, 3)
+    covariances as given, possibly broadcast views.
     """
 
     hessian: Array      # (6, 6)
     rhs: Array          # (6,)
-    sigma_total: Array  # (6, 6)
     vectors: Array      # (N, 6)
-    covariances: Array  # (N, 6, 6)
+    jacobians: Array    # (N, 3, 6)
+    point_covs: Array   # (N, 3, 3)
+    normal_covs: Array  # (N, 3, 3)
 
     @property
     def size(self) -> int:
@@ -77,23 +78,22 @@ class DirectionReport:
 
 def accumulate_arrays(points, normals, offsets, weights, point_covs, normal_covs) -> HessianBundle:
     """Accumulate point-to-plane features, given in the sensor frame, into
-    Hessian, right-hand side and noise terms.
+    Hessian, right-hand side and the Jacobian blocks of their noise.
 
     points/normals are (N, 3); offsets/weights are (N,); the covariances are
     (N, 3, 3) or a single (3, 3) broadcast to all features. point_covs is
     the covariance of additive point noise. normal_covs is the covariance of
     the small-rotation perturbation eta in the normal model
     n_hat = n + cross(n, eta); only its component tangent to the normal
-    influences any result. Each feature's noise covariance is
-    B blockdiag(point_cov, normal_cov) B^T, with B the Jacobian of v with
-    respect to [eps; eta] at zero noise. Written as its two column blocks,
-    with a = skew(n):
+    influences any result. The Jacobian of v with respect to [eps; eta] at
+    zero noise, written as its two column blocks with a = skew(n), is
 
         B = w * [B_eps | B_eta],  B_eps = [-a; 0],  B_eta = [skew(p) @ a; a]
 
-    so the covariance is w^2 (B_eta normal_cov B_eta^T), plus
-    w^2 a point_cov a^T in the top-left 3x3 block. A Hessian or right-hand
-    side that is not finite raises NoiseOverflow.
+    so each feature's noise covariance, never formed, is
+    w^2 (B_eta normal_cov B_eta^T), plus w^2 a point_cov a^T in the top-left
+    3x3 block. The bundle keeps w B_eta^T, which holds both blocks. A Hessian
+    or right-hand side that is not finite raises NoiseOverflow.
     """
     p = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     n = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
@@ -115,30 +115,29 @@ def accumulate_arrays(points, normals, offsets, weights, point_covs, normal_covs
                             f"largest entries {np.abs(hessian).max():.3g} and {np.abs(rhs).max():.3g}; "
                             "scale coordinates down")
 
-    a = skew(n)
-    b_eta = np.concatenate([skew(p) @ a, a], axis=1)  # (N, 6, 3)
-    covariances = b_eta @ cn @ np.swapaxes(b_eta, 1, 2)
-    covariances[:, :3, :3] += a @ cp @ np.swapaxes(a, 1, 2)
-    covariances *= (w**2)[:, None, None]
-    covariances = 0.5 * (covariances + np.swapaxes(covariances, 1, 2))
-
-    return HessianBundle(hessian, rhs, covariances.sum(axis=0), vectors, covariances)
+    wa_t = skew(-w[:, None] * n)  # w a^T
+    jacobians = np.concatenate([wa_t @ skew(-p), wa_t], axis=2)  # w B_eta^T = w [a^T skew(p)^T | a^T]
+    return HessianBundle(hessian, rhs, vectors, jacobians, cp, cn)
 
 
 def _direction_moments(bundle: HessianBundle, dirs: Array) -> tuple[Array, Array]:
     """Mean and variance of the Hessian noise in each direction column u of
     dirs (6, D).
 
-    The mean is u^T Sigma u over the total noise covariance; the variance
-    sums, per feature, 2*(u^T S_i u)^2 + 4*(u^T S_i u)*(u^T v_i)^2. Either
-    one not finite raises NoiseOverflow.
+    Per feature, u^T S_i u = t = q^T C_n q + r^T C_p r with q = J u and
+    r = J[:, 3:] u[:3], J = w B_eta^T. The mean sums t over the features and
+    the variance sums 2 t^2 + 4 t (u^T v_i)^2. Either one not finite raises
+    NoiseOverflow.
     """
+    jac, shape = bundle.jacobians.reshape(-1, 6), (-1, 3, dirs.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        mu = np.einsum("ij,ik,jk->k", bundle.sigma_total, dirs, dirs)
-        np.clip(mu, 0.0, None, out=mu)
-        t = np.einsum("nij,ik,jk->nk", bundle.covariances, dirs, dirs)
+        q = (jac @ dirs).reshape(shape)  # (N, 3, D)
+        r = (jac[:, 3:] @ dirs[:3]).reshape(shape)
+        t = np.einsum("nid,nid->nd", q, bundle.normal_covs @ q)
+        t += np.einsum("nid,nid->nd", r, bundle.point_covs @ r)
         np.clip(t, 0.0, None, out=t)
         dv = bundle.vectors @ dirs
+        mu = t.sum(axis=0)
         var = np.sum(2.0 * t * t + 4.0 * t * dv * dv, axis=0)
     if not (np.isfinite(mu).all() and np.isfinite(var).all()):
         raise NoiseOverflow(f"the noise statistics of a direction overflow the float range: mean "

@@ -34,8 +34,8 @@ class InvalidDimensions(DegenIcpError):
 
 
 class NoiseOverflow(DegenIcpError):
-    """The noise mean or variance of a direction, or the Hessian or
-    right-hand side of the features, overflows the float range."""
+    """The noise statistics of a direction, the Hessian or right-hand side
+    of the features, or the distances to neighbours overflow the float range."""
 
 
 class ConfigError(DegenIcpError):

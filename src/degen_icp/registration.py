@@ -33,7 +33,7 @@ from .degeneracy import (
     _eigh_descending,
     accumulate_arrays,
 )
-from .errors import EmptyFeatureSet, NoCorrespondences, SingularHessian
+from .errors import EmptyFeatureSet, NoCorrespondences, NoiseOverflow, SingularHessian
 from .geometry import Pose, compose, exp_se3, frame_change_matrix
 from .normals import fit_planes, normal_covariances
 
@@ -300,6 +300,8 @@ def extract_features(
     redo = np.flatnonzero(~(np.einsum("ni,ni->n", moved, moved) < carry.slack2))
     at = p_world[redo]
     dist, idx = carry.tree.query(at, k=min(k + 1, tgt.shape[0]), workers=_worker_count())
+    if not np.isfinite(dist).all():
+        raise NoiseOverflow("neighbour distances overflow the float range; scale coordinates down")
     idx[:, 1:k].sort(axis=1)  # the nearest, then the rest of the set by index
     # Column by column: numpy reduces slowly along a short last axis.
     old = carry.idx[redo]

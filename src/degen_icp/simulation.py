@@ -379,8 +379,8 @@ def spurious_info_demo(
 
     With unit weights, zero point noise and isotropic tangent noise sigma_n
     on the normals, the expected noisy Hessian is H + H_N with
-    H_N = sigma_n^2 * sum_i F_i (I - n n^T) F_i^T, F_i = [skew(p_i); I] w_i,
-    the sigma_total of the noise-free features.
+    H_N = sigma_n^2 * sum_i F_i (I - n n^T) F_i^T, F_i = [skew(p_i); I], that is
+    sigma_n^2 * sum_i sum_t [p_i x t; t] [p_i x t; t]^T over the tangent basis t.
     The demo checks that identity by Monte Carlo over `trials` draws, then
     compares, over min(trials, solve_trials) noisy_feature_arrays draws, the
     mean absolute null-direction component of the standard solve (the gated
@@ -393,21 +393,21 @@ def spurious_info_demo(
     points, normals, offsets = sample.points, sample.normals, sample.offsets
     n_feat = points.shape[0]
     weights = np.ones(n_feat)
-    point_cov = np.zeros((3, 3))
-    clean = accumulate_arrays(points, normals, offsets, weights, point_cov, tangent_covariances(normals, sigma_n))
-    hessian, h_noise = clean.hessian, clean.sigma_total
+    hessian = accumulate_arrays(points, normals, offsets, weights, np.zeros((3, 3)), np.zeros((3, 3))).hessian
+    tangents = np.stack(_tangent_basis(normals))  # (2, N, 3)
+    f = np.concatenate([np.cross(points, tangents), tangents], axis=-1).reshape(-1, 6)
+    h_noise = sigma_n**2 * (f.T @ f)
 
     root = np.random.SeedSequence(seed)
     ss_mean, ss_solve = root.spawn(2)
 
-    t2 = _tangent_basis(normals)[1]
     block = _block_rows(n_feat, 6)
 
     def chunk_moment(rng, m):
         eps, coeffs = _chunk_draws(rng, n_feat, m, 0.0, sigma_n)
         part = np.zeros((6, 6))
         for a in range(0, m, block):
-            vv = _noisy_vectors(points, normals, weights, t2, eps[a : a + block], coeffs[a : a + block])
+            vv = _noisy_vectors(points, normals, weights, tangents[1], eps[a : a + block], coeffs[a : a + block])
             part += np.einsum("min,mjn->ij", vv, vv)
         return part
 

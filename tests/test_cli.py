@@ -603,12 +603,16 @@ class TestConfigAndErrors:
             values = [[v for v in r.values() if isinstance(v, float)] for r in records]
         assert all(np.isfinite(v).all() for v in values)
 
-    @pytest.mark.parametrize("case", ["detect-scaled-cloud", "detect-sigma-p", "oracle-sigma-p", "detect-hessian"])
+    @pytest.mark.parametrize(
+        "case", ["detect-scaled-cloud", "detect-sigma-p", "oracle-sigma-p", "detect-hessian", "detect-distances"]
+    )
     def test_overflowing_noise_statistics_exit_1(self, tmp_path, capsys, case):
         # These wrote Infinity or probabilities of 0.5 with exit 0, or failed
         # the oracle's tolerance on an inf analytic and a NaN Monte Carlo
         # variance. At 1e154 the Hessian product overflowed with a numpy
-        # warning and the run ended in "Eigenvalues did not converge".
+        # warning and the run ended in "Eigenvalues did not converge". At
+        # 1e155 the kd-tree's distances overflowed to inf, it reported such
+        # neighbours as index n, and the run ended in an IndexError.
         out = tmp_path / "o"
         if case == "oracle-sigma-p":
             argv = ("oracle", "--kind", "room", "--points", 50, "--trials", 100, "--directions", 2,
@@ -619,12 +623,13 @@ class TestConfigAndErrors:
             if case == "detect-sigma-p":
                 argv = ("detect", "--cloud", cloud, "--sigma-p", "1e100")
             else:
-                scale = 1e154 if case == "detect-hessian" else 1e100
+                scale = {"detect-hessian": 1e154, "detect-distances": 1e155}.get(case, 1e100)
                 cloud_io.write_ply(cloud, scale * cloud_io.load_cloud(cloud)[0])
                 argv = ("detect", "--cloud", cloud, "--sigma-i", repr(scale / 100))
         assert _run(*argv, "--out", out) == 1
         err = capsys.readouterr().err
-        assert ("Hessian of the features" if case == "detect-hessian" else "noise statistics of a direction") in err
+        message = {"detect-hessian": "Hessian of the features", "detect-distances": "neighbour distances overflow"}
+        assert message.get(case, "noise statistics of a direction") in err
         assert not out.exists()
 
 
@@ -658,7 +663,7 @@ def test_output_digest_commands_parse():
     spec.loader.exec_module(tool)
     for _, argv in tool.COMMANDS:
         cli.build_parser().parse_args([a.format(tmp="t") for a in argv] + ["--out", "o"])
-    assert len(tool.COMMANDS) == 17
+    assert len(tool.COMMANDS) == 19
 
 
 def test_readme_config_schema_runs(tmp_path):

@@ -143,17 +143,23 @@ class TestAccumulate:
         # Per-feature anisotropic point noise, as range noise along each beam gives.
         m = rng.standard_normal((40, 3, 3))
         spd = 0.02**2 * (m @ np.swapaxes(m, 1, 2) + 0.1 * np.eye(3))
+        dirs = [random_unit(rng, 6) for _ in range(8)]
         for point_covs in (point_cov, spd):
             bundle = accumulate_arrays(points, normals, offsets, weights, point_covs, normal_covs)
-            assert np.array_equal(bundle.covariances, np.swapaxes(bundle.covariances, 1, 2))
-            assert np.array_equal(bundle.sigma_total, bundle.sigma_total.T)
             assert np.array_equal(bundle.hessian, bundle.hessian.T)
             point_covs = np.broadcast_to(point_covs, (40, 3, 3))
+            vs, covs = [], []
             for i in range(40):
                 v = feature_vector(points[i], normals[i], weights[i])
-                cov = feature_covariance(points[i], normals[i], weights[i], point_covs[i], normal_covs[i])
                 assert np.linalg.norm(bundle.vectors[i] - v) <= 1e-12 * np.linalg.norm(v)
-                assert np.linalg.norm(bundle.covariances[i] - cov) <= 1e-12 * np.linalg.norm(cov)
+                vs.append(v)
+                covs.append(feature_covariance(points[i], normals[i], weights[i], point_covs[i], normal_covs[i]))
+            for u in dirs:
+                t = np.array([u @ cov @ u for cov in covs])
+                want_mu, want_var = t.sum(), np.sum(2.0 * t**2 + 4.0 * t * (np.array(vs) @ u) ** 2)
+                mu, var = direction_stats(bundle, u)
+                assert mu == pytest.approx(want_mu, rel=1e-12, abs=0.0)
+                assert var == pytest.approx(want_var, rel=1e-12, abs=0.0)
 
     def test_hessian_is_sum_of_outer_products(self):
         rng = np.random.default_rng(4)

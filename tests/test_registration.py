@@ -262,8 +262,9 @@ class TestExtractFeatures:
 
         monkeypatch.setattr(registration, "fit_planes", flipped_fit_planes)
         got, got_stats = extract_features(source, target.points, init, IcpConfig())
-        for name in ("hessian", "rhs", "sigma_total", "covariances"):
+        for name in ("hessian", "rhs", "point_covs", "normal_covs"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(np.abs(got.jacobians), np.abs(want.jacobians))
         assert np.array_equal(np.abs(got.vectors), np.abs(want.vectors))
         assert not np.array_equal(got.vectors, want.vectors)
         assert got_stats == want_stats
@@ -282,7 +283,7 @@ class TestExtractFeatures:
         fit_planes = registration.fit_planes
         monkeypatch.setattr(registration, "fit_planes", lambda neighbors, *args: fit_planes(neighbors))
         want, want_stats = extract_features(source, target.points, init, config)
-        for name in ("hessian", "rhs", "sigma_total", "covariances"):
+        for name in ("hessian", "rhs", "jacobians", "point_covs", "normal_covs"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got_stats == want_stats
         assert kept[0] < want_stats.used / want_stats.candidates < kept[1]

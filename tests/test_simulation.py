@@ -4,7 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import feature_vector, force_workers, random_feature_arrays, sequential_mc_direction_stats
+from conftest import (
+    feature_covariance,
+    feature_vector,
+    force_workers,
+    random_feature_arrays,
+    sequential_mc_direction_stats,
+)
 
 from degen_icp import (
     InvalidDimensions,
@@ -396,6 +402,17 @@ class TestSpuriousInfoDemo:
         sample = generate_scene(SceneSpec(SceneKind.INFINITE_PLANE, point_count=2000, seed=41))
         report = spurious_info_demo(sample, 0.01, 2_000, solve_trials=1, seed=42)
         assert report.hessian_mean_rel_error == pytest.approx(0.07061885353706307, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("kind", [SceneKind.INFINITE_PLANE, SceneKind.CORRIDOR])
+    def test_noise_hessian_is_per_feature_sum(self, kind):
+        # Criterion 2 checks this identity only to 5%, by Monte Carlo.
+        sample = generate_scene(SceneSpec(kind, point_count=200, seed=39))
+        report = spurious_info_demo(sample, 0.01, 10, solve_trials=1, seed=40)
+        want = sum(
+            feature_covariance(p, n, 1.0, 0.0, 0.01**2 * (np.eye(3) - np.outer(n, n)))
+            for p, n in zip(sample.points, sample.normals)
+        )
+        assert np.linalg.norm(report.noise_hessian - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_zero_noise_identity_is_exact(self):
         sample = generate_scene(SceneSpec(SceneKind.INFINITE_PLANE, point_count=300, seed=33))

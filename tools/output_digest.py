@@ -74,6 +74,10 @@ COMMANDS = [
     ("oracle-config", ["oracle", "--config", "{tmp}/defaults.json", "--trials", "2000"]),
     ("sweep", ["sweep", "--kind", "corridor", "--points", "500", "--seed", "4", "--parameter", "s",
                "--values", "1,5,10,20"]),
+    ("sweep-sigma-n", ["sweep", "--kind", "corridor", "--points", "500", "--seed", "4", "--parameter", "sigma-n",
+                       "--values", "0.001,0.01,0.05"]),
+    ("sweep-sigma-p", ["sweep", "--kind", "corridor", "--points", "500", "--seed", "4", "--parameter", "sigma-p",
+                       "--values", "0.001,0.01,0.05"]),
 ]
 
 
