@@ -49,10 +49,12 @@ Array = NDArray[np.float64]
 # trials share a seed stream. Each worker holds one chunk's draws, (rows, N, 5)
 # values or about 14 MB.
 _CHUNK_ELEMENTS = 2**21
-# Element budget per row block of a chunk: bounds each (rows, 6, N) and
-# (rows, D, N) array built from the draws to about 1 MB, so a worker holds one
-# chunk's draws and one block. mc_direction_stats results do not depend on it
-# (no per-trial shape does); the summed moment of spurious_info_demo does.
+# Element budget per row block of a chunk: bounds each (rows, 6, N) array built
+# from the draws to about 1 MB, and the constants tiled to a block's rows to
+# about 2 MB, so a worker holds one chunk's draws and one block.
+# mc_direction_stats results do not depend on it (each trial's Hessian and its
+# projection are products of that trial's values alone); the summed moment of
+# spurious_info_demo does.
 _BLOCK_ELEMENTS = 2**17
 
 
@@ -268,9 +270,9 @@ def _chunk_rows(n_features: int) -> int:
     return max(1, _CHUNK_ELEMENTS // max(n_features * 6, 1))
 
 
-def _block_rows(n_features: int, width: int) -> int:
-    """Rows per block of a chunk whose arrays have shape (rows, width, N)."""
-    return max(1, _BLOCK_ELEMENTS // max(n_features * width, 1))
+def _block_rows(n_features: int) -> int:
+    """Rows per block of a chunk: the block's vectors are rows * 6 * N values."""
+    return max(1, _BLOCK_ELEMENTS // max(n_features * 6, 1))
 
 
 def _mc_chunks(task, n_features: int, trials: int, seed: np.random.SeedSequence) -> Iterator:
@@ -292,27 +294,63 @@ def _mc_chunks(task, n_features: int, trials: int, seed: np.random.SeedSequence)
 def _chunk_draws(rng, n_features: int, rows: int, sigma_p: float, sigma_n: float) -> tuple[Array, Array]:
     """One chunk's noise: point noise eps (rows, N, 3) first, then tangent
     coefficients (rows, N, 2)."""
-    eps = sigma_p * rng.standard_normal((rows, n_features, 3))
-    coeffs = sigma_n * rng.standard_normal((rows, n_features, 2))
+    eps = rng.standard_normal((rows, n_features, 3))
+    eps *= sigma_p
+    coeffs = rng.standard_normal((rows, n_features, 2))
+    coeffs *= sigma_n
     return eps, coeffs
 
 
-def _noisy_vectors(points, normals, weights, t2, eps, coeffs) -> Array:
+def _vector_constants(points, normals, weights, rows: int) -> Array:
+    """Constants of _noisy_vectors for up to `rows` trials, shape
+    (4, 3, rows * N): p, w n, w t2 and w cross(n, t2), component-major and
+    repeated once per trial, with t2 from _tangent_basis (normals as given)."""
+    w = weights[:, None]
+    t2 = _tangent_basis(normals)[1]
+    per_trial = np.stack([points, w * normals, w * t2, w * np.cross(normals, t2)]).transpose(0, 2, 1)
+    return np.tile(per_trial, rows)
+
+
+def _noisy_vectors(consts, eps, coeffs) -> Array:
     """Noisy feature vectors w [p_hat x n_hat; n_hat], shape (rows, 6, N), for
-    draws from _chunk_draws: p_hat = p + eps, and the small-angle normal model
-    n + cross(n, c1 t1 + c2 t2) of the closed-form statistics, written as
-    n + c1 t2 + c2 cross(n, t2) with t2 from _tangent_basis (normals as given)."""
-    nt2 = np.cross(normals, t2)
-    v = np.empty((eps.shape[0], 6, points.shape[0]))
-    p = points.T + np.moveaxis(eps, -1, -2)
-    n = v[:, 3:]
+    draws from _chunk_draws and constants from _vector_constants: p_hat =
+    p + eps, and the small-angle normal model n + cross(n, c1 t1 + c2 t2) of
+    the closed-form statistics, written as n + c1 t2 + c2 cross(n, t2).
+
+    The weight rides in the normal model's constants, so at unit weights the
+    values are those of the unfolded arithmetic. Every pass runs over a flat
+    rows * N buffer; the result is a (rows, 6, N) view of a (6, rows, N) array.
+    """
+    rows, n_feat = eps.shape[:2]
+    p0, wn, wt2, wnt2 = consts[..., : rows * n_feat]
+    c1, c2 = np.ascontiguousarray(coeffs.reshape(-1, 2).T)
+    p = np.add(p0, eps.reshape(-1, 3).T)
+    v = np.empty((6, rows * n_feat))
+    n = v[3:]
+    tmp = np.empty(rows * n_feat)
     for i in range(3):
-        n[:, i] = normals[:, i] + coeffs[..., 0] * t2[:, i] + coeffs[..., 1] * nt2[:, i]
-    v[:, 0] = p[:, 1] * n[:, 2] - p[:, 2] * n[:, 1]
-    v[:, 1] = p[:, 2] * n[:, 0] - p[:, 0] * n[:, 2]
-    v[:, 2] = p[:, 0] * n[:, 1] - p[:, 1] * n[:, 0]
-    v *= weights
-    return v
+        np.multiply(c1, wt2[i], out=n[i])
+        n[i] += wn[i]
+        np.multiply(c2, wnt2[i], out=tmp)
+        n[i] += tmp
+    for k, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(p[a], n[b], out=v[k])
+        np.multiply(p[b], n[a], out=tmp)
+        v[k] -= tmp
+    return v.reshape(6, rows, n_feat).transpose(1, 0, 2)
+
+
+def _trial_hessians(v) -> Array:
+    """Each trial's sum over features of v v^T, for vectors v of shape
+    (rows, 6, N), flattened to (rows, 36).
+
+    Two (3, N) @ (N, 6) products per trial: numpy hands v @ v^T to BLAS syrk
+    and a triangle copy, which took twice as long with OpenBLAS at N = 100.
+    """
+    h = np.empty((v.shape[0], 6, 6))
+    np.matmul(v[:, :3], v.transpose(0, 2, 1), out=h[:, :3])
+    np.matmul(v[:, 3:], v.transpose(0, 2, 1), out=h[:, 3:])
+    return h.reshape(-1, 36)
 
 
 def mc_direction_stats(
@@ -326,10 +364,12 @@ def mc_direction_stats(
     same draws. Normals are perturbed with the additive small-angle form,
     the model behind the closed-form statistics; the sampled vectors keep
     the full nonlinear product of noisy point and noisy normal. Chunks are
-    evaluated in row blocks, one (D, 6) @ (6, N) product per trial, as values
-    minus the noise-free ones (the same code at zero draws), so zero noise
-    gives a variance of exactly 0; chunk statistics are merged with
-    Welford's update in chunk order.
+    evaluated in row blocks: each trial's noisy Hessian H_hat = sum v v^T,
+    minus the noise-free one (the same code at zero draws), is read in every
+    direction at once through the 36 products u_i u_j, so zero noise gives a
+    variance of exactly 0. Each trial's value is its own matrix products, so
+    no block size changes a bit. Chunk statistics are merged with Welford's
+    update in chunk order.
     """
     if trials < 2:
         raise ValueError("trials must be >= 2")
@@ -338,20 +378,24 @@ def mc_direction_stats(
     n_feat = points.shape[0]
     weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (n_feat,))
     dirs = np.asarray(directions, dtype=np.float64).reshape(6, -1)
-    t2 = _tangent_basis(normals)[1]
-    block = _block_rows(n_feat, max(6, dirs.shape[1]))
+    uu = np.einsum("id,jd->ijd", dirs, dirs).reshape(36, -1)
+    block = _block_rows(n_feat)
+    consts = _vector_constants(points, normals, weights, block)
 
-    def values(eps, coeffs):
-        proj = dirs.T @ _noisy_vectors(points, normals, weights, t2, eps, coeffs)  # (rows, D, N)
-        return np.square(proj).sum(axis=-1)
+    def hessians(eps, coeffs):
+        return _trial_hessians(_noisy_vectors(consts, eps, coeffs))
 
-    shift = values(np.zeros((1, n_feat, 3)), np.zeros((1, n_feat, 2)))[0]
+    h0 = hessians(np.zeros((1, n_feat, 3)), np.zeros((1, n_feat, 2)))
 
     def chunk_stats(rng, m):
         eps, coeffs = _chunk_draws(rng, n_feat, m, noise.sigma_p, noise.sigma_n)
-        vals = np.empty((m, dirs.shape[1]))
+        vals = np.empty((m, 1, dirs.shape[1]))
         for a in range(0, m, block):
-            vals[a : a + block] = values(eps[a : a + block], coeffs[a : a + block]) - shift
+            dh = hessians(eps[a : a + block], coeffs[a : a + block]) - h0
+            # One (1, 36) @ (36, D) product per trial: a 2-D GEMM over the block
+            # may round a block's tail rows differently.
+            np.matmul(dh[:, None], uu, out=vals[a : a + block])
+        vals = vals[:, 0]
         c_mean = vals.mean(axis=0)
         return m, c_mean, np.sum((vals - c_mean) ** 2, axis=0)
 
@@ -364,7 +408,7 @@ def mc_direction_stats(
         mean = mean + delta * (m / total)
         m2 = m2 + c_m2 + delta**2 * (count * m / total)
         count = total
-    return shift + mean, m2 / (count - 1)
+    return (h0 @ uu)[0] + mean, m2 / (count - 1)
 
 
 def spurious_info_demo(
@@ -401,13 +445,16 @@ def spurious_info_demo(
     root = np.random.SeedSequence(seed)
     ss_mean, ss_solve = root.spawn(2)
 
-    block = _block_rows(n_feat, 6)
+    block = _block_rows(n_feat)
+    consts = _vector_constants(points, normals, weights, block)
 
     def chunk_moment(rng, m):
         eps, coeffs = _chunk_draws(rng, n_feat, m, 0.0, sigma_n)
         part = np.zeros((6, 6))
         for a in range(0, m, block):
-            vv = _noisy_vectors(points, normals, weights, tangents[1], eps[a : a + block], coeffs[a : a + block])
+            # einsum sums a contiguous (rows, 6, N) array in the order the
+            # pinned stream of criterion 2 was taken with.
+            vv = np.ascontiguousarray(_noisy_vectors(consts, eps[a : a + block], coeffs[a : a + block]))
             part += np.einsum("min,mjn->ij", vv, vv)
         return part
 

@@ -100,23 +100,25 @@ def sequential_mc_direction_stats(points, normals, weights, noise, directions, t
     """Reference for mc_direction_stats: its chunks one after another in this
     thread, each evaluated whole, with Welford's update in chunk order.
 
-    Uses the same chunk row count, seed spawning, draw order, arithmetic and
-    noise-free shift, so the two agree bit for bit.
+    Uses the same chunk row count, seed spawning, draw order, arithmetic,
+    per-trial Hessians, noise-free Hessian and per-trial projection, so the
+    two agree bit for bit.
     """
-    from degen_icp.simulation import _chunk_rows, _noisy_vectors, _tangent_basis
+    from degen_icp.simulation import _chunk_rows, _noisy_vectors, _trial_hessians, _vector_constants
 
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
     n_feat = points.shape[0]
     weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (n_feat,))
     dirs = np.asarray(directions, dtype=np.float64).reshape(6, -1)
-    t2 = _tangent_basis(normals)[1]
-
-    def values(eps, coeffs):
-        return np.square(dirs.T @ _noisy_vectors(points, normals, weights, t2, eps, coeffs)).sum(axis=-1)
-
-    shift = values(np.zeros((1, n_feat, 3)), np.zeros((1, n_feat, 2)))[0]
+    uu = np.einsum("id,jd->ijd", dirs, dirs).reshape(36, -1)
     rows = _chunk_rows(n_feat)
+    consts = _vector_constants(points, normals, weights, rows)
+
+    def hessians(eps, coeffs):
+        return _trial_hessians(_noisy_vectors(consts, eps, coeffs))
+
+    h0 = hessians(np.zeros((1, n_feat, 3)), np.zeros((1, n_feat, 2)))
     count = 0
     mean = np.zeros(dirs.shape[1])
     m2 = np.zeros(dirs.shape[1])
@@ -125,7 +127,7 @@ def sequential_mc_direction_stats(points, normals, weights, noise, directions, t
         rng = np.random.default_rng(child)
         eps = noise.sigma_p * rng.standard_normal((m, n_feat, 3))
         coeffs = noise.sigma_n * rng.standard_normal((m, n_feat, 2))
-        vals = values(eps, coeffs) - shift
+        vals = ((hessians(eps, coeffs) - h0)[:, None] @ uu)[:, 0]
         c_mean = vals.mean(axis=0)
         c_m2 = np.sum((vals - c_mean) ** 2, axis=0)
         delta = c_mean - mean
@@ -133,4 +135,4 @@ def sequential_mc_direction_stats(points, normals, weights, noise, directions, t
         mean = mean + delta * (m / total)
         m2 = m2 + c_m2 + delta**2 * (count * m / total)
         count = total
-    return shift + mean, m2 / (count - 1)
+    return (h0 @ uu)[0] + mean, m2 / (count - 1)

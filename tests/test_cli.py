@@ -663,7 +663,7 @@ def test_output_digest_commands_parse():
     spec.loader.exec_module(tool)
     for _, argv in tool.COMMANDS:
         cli.build_parser().parse_args([a.format(tmp="t") for a in argv] + ["--out", "o"])
-    assert len(tool.COMMANDS) == 19
+    assert len(tool.COMMANDS) == 20
 
 
 def test_readme_config_schema_runs(tmp_path):

@@ -23,9 +23,10 @@ from degen_icp import (
     generate_scene,
     mc_direction_stats,
     noisy_feature_arrays,
+    simulation,
     spurious_info_demo,
 )
-from degen_icp.simulation import _chunk_draws, _mc_chunks, _noisy_vectors, _tangent_basis
+from degen_icp.simulation import _chunk_draws, _mc_chunks, _noisy_vectors, _tangent_basis, _vector_constants
 
 ALL_KINDS = list(SceneKind)
 
@@ -169,11 +170,11 @@ class TestApplyNoise:
     def test_small_angle_model_norm_deviates_second_order(self):
         # The Monte Carlo oracle draws normals as n + cross(n, eta).
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=300, seed=18))
-        t2 = _tangent_basis(sample.normals)[1]
+        consts = _vector_constants(sample.points, sample.normals, np.ones(300), 1)
 
         def vectors(rng, rows):
             eps, coeffs = _chunk_draws(rng, 300, rows, 0.0, 0.05)
-            return _noisy_vectors(sample.points, sample.normals, np.ones(300), t2, eps, coeffs)
+            return _noisy_vectors(consts, eps, coeffs)
 
         (chunk,) = _mc_chunks(vectors, 300, 1, np.random.SeedSequence(19))
         norms = np.linalg.norm(chunk[0, 3:], axis=0)
@@ -200,15 +201,17 @@ class TestMcHessianStats:
     def test_zero_noise_is_deterministic_across_chunks(self):
         # 8,000 trials on 100 features span three chunks (3,495, 3,495 and
         # 1,010 rows); chunk means of one value that differ in their last
-        # bits must not turn into variance.
+        # bits must not turn into variance, at any weights.
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=100, seed=22))
-        directions = np.random.default_rng(23).standard_normal((6, 4))
+        rng = np.random.default_rng(23)
+        directions = rng.standard_normal((6, 10))
+        weights = rng.uniform(0.5, 2.0, 100)
         means, variances = mc_direction_stats(
-            sample.points, sample.normals, 1.0, NoiseSpec(0.0, 0.0, 23), directions, 8_000
+            sample.points, sample.normals, weights, NoiseSpec(0.0, 0.0, 23), directions, 8_000
         )
-        h = _noise_free_hessian(sample)
-        np.testing.assert_allclose(means, np.einsum("id,ij,jd->d", directions, h, directions), rtol=1e-12)
-        assert np.array_equal(variances, np.zeros(4))
+        v = weights[:, None] * np.concatenate([np.cross(sample.points, sample.normals), sample.normals], axis=1)
+        np.testing.assert_allclose(means, np.einsum("id,ij,jd->d", directions, v.T @ v, directions), rtol=1e-12)
+        assert np.array_equal(variances, np.zeros(10))
 
     def test_single_feature_closed_form(self):
         sigma_n = 0.01
@@ -280,6 +283,20 @@ class TestMcHessianStats:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
+    @pytest.mark.parametrize("block_elements", [1, 7 * 37 * 6], ids=["1-row", "7-rows"])
+    def test_block_size_changes_no_bit(self, monkeypatch, block_elements):
+        # Each trial's value comes from its own matrix products; one 2-D
+        # product over a block's rows rounds the tail rows differently.
+        rng = np.random.default_rng(37)
+        points, normals, _, weights, _, _ = random_feature_arrays(rng, 37)
+        directions = rng.standard_normal((6, 4))
+        noise = NoiseSpec(0.01, 0.02, 39)
+        want = mc_direction_stats(points, normals, weights, noise, directions, 12_345)
+        monkeypatch.setattr(simulation, "_BLOCK_ELEMENTS", block_elements)
+        got = mc_direction_stats(points, normals, weights, noise, directions, 12_345)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
     def test_peak_memory_is_bounded(self, monkeypatch):
         # Each running chunk holds its draws, about 14 MB at 100 features, and
         # one row block of work arrays; whole-chunk vectors took 112 MiB here.
@@ -311,13 +328,31 @@ class TestNoisyVectors:
         weights = rng.uniform(0.5, 2.0, count)
         eps, coeffs = _chunk_draws(rng, count, rows, 0.05, 0.05)
         t1, t2 = _tangent_basis(normals)
-        got = _noisy_vectors(points, normals, weights, t2, eps, coeffs)
+        got = _noisy_vectors(_vector_constants(points, normals, weights, rows), eps, coeffs)
         assert got.shape == (rows, 6, count)
         for r in range(rows):
             for i in range(count):
                 eta = coeffs[r, i, 0] * t1[i] + coeffs[r, i, 1] * t2[i]
                 want = feature_vector(points[i] + eps[r, i], normals[i] + np.cross(normals[i], eta), weights[i])
                 np.testing.assert_allclose(got[r, :, i], want, rtol=1e-12)
+
+    def test_unit_weights_match_unfolded_arithmetic(self):
+        # Pins the vectors oracle and spurious_info_demo see: with the
+        # weights folded into the normal model's constants, unit weights give
+        # the bits of the model written out with no weight multiply.
+        rng = np.random.default_rng(46)
+        rows, count = 5, 40
+        points = rng.uniform(-2.0, 2.0, (count, 3))
+        normals = rng.standard_normal((count, 3))
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        eps, coeffs = _chunk_draws(rng, count, rows, 0.05, 0.05)
+        t2 = _tangent_basis(normals)[1]
+        nt2 = np.cross(normals, t2)
+        n = [normals[:, i] + coeffs[..., 0] * t2[:, i] + coeffs[..., 1] * nt2[:, i] for i in range(3)]
+        p = [points[:, i] + eps[..., i] for i in range(3)]
+        want = np.stack([p[1] * n[2] - p[2] * n[1], p[2] * n[0] - p[0] * n[2], p[0] * n[1] - p[1] * n[0], *n], axis=1)
+        got = _noisy_vectors(_vector_constants(points, normals, np.ones(count), rows), eps, coeffs)
+        assert np.array_equal(got, want)
 
 
 class TestMcChunks:

@@ -68,6 +68,9 @@ COMMANDS = [
     ("detect-room", ["detect", "--kind", "room", "--seed", "5", "--points", "1500"]),
     ("oracle", ["oracle", "--kind", "corridor", "--points", "200", "--seed", "3", "--trials", "2000",
                 "--directions", "3"]),
+    # The oracle-mc benchmark's shape: ten directions on a 100-point room.
+    ("oracle-room-10", ["oracle", "--kind", "room", "--points", "100", "--directions", "10", "--trials", "20000",
+                        "--seed", "3"]),
     ("register-room-config",
      ["register", "--config", "{tmp}/defaults.json", "--source", f"{ROOM}/noisy.ply",
       "--target", f"{ROOM}/clean.ply"]),
