@@ -12,7 +12,9 @@ split their seed into one child stream per fixed-size chunk of trials
 pool with one worker per core this process may use (os.sched_getaffinity,
 else os.cpu_count), the rule registration's kd-tree queries use too, and
 their results are merged in chunk order, so the result is bit for bit the
-same for any worker count.
+same for any worker count. Each chunk's stream gives all of its point noise
+first, then its tangent coefficients one row block at a time; the blocks
+continue the stream, so the values do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -46,12 +48,14 @@ Array = NDArray[np.float64]
 
 # Element budget per Monte Carlo chunk. Part of the determinism contract: the
 # chunk row count is a pure function of the feature count, and fixes which
-# trials share a seed stream. Each worker holds one chunk's draws, (rows, N, 5)
-# values or about 14 MB.
+# trials share a seed stream. Each worker holds one chunk's point noise,
+# (rows, N, 3) values or about 8.4 MB: the stream gives it before any
+# tangent coefficient, so no block of coefficients is reached without it.
 _CHUNK_ELEMENTS = 2**21
 # Element budget per row block of a chunk: bounds each (rows, 6, N) array built
-# from the draws to about 1 MB, and the constants tiled to a block's rows to
-# about 2 MB, so a worker holds one chunk's draws and one block.
+# from the draws to about 1 MB, one block's tangent coefficients to about
+# 0.35 MB, and the constants tiled to a block's rows to about 2 MB, so a
+# worker holds one chunk's point noise and one block.
 # mc_direction_stats results do not depend on it (each trial's Hessian and its
 # projection are products of that trial's values alone); the summed moment of
 # spurious_info_demo does.
@@ -291,14 +295,20 @@ def _mc_chunks(task, n_features: int, trials: int, seed: np.random.SeedSequence)
         yield from pool.map(lambda child, m: task(np.random.default_rng(child), m), seed.spawn(len(sizes)), sizes)
 
 
-def _chunk_draws(rng, n_features: int, rows: int, sigma_p: float, sigma_n: float) -> tuple[Array, Array]:
-    """One chunk's noise: point noise eps (rows, N, 3) first, then tangent
-    coefficients (rows, N, 2)."""
+def _chunk_draws(
+    rng, n_features: int, rows: int, block: int, sigma_p: float, sigma_n: float
+) -> Iterator[tuple[Array, Array]]:
+    """One chunk's noise as (eps, coeffs) blocks of `block` rows (fewer in
+    the last), shapes (b, N, 3) and (b, N, 2). The point noise (rows, N, 3)
+    is drawn whole first, then each block's tangent coefficients as it is
+    yielded; numpy fills draws in stream order, so the blocks hold the values
+    of one (rows, N, 2) draw after the point noise."""
     eps = rng.standard_normal((rows, n_features, 3))
     eps *= sigma_p
-    coeffs = rng.standard_normal((rows, n_features, 2))
-    coeffs *= sigma_n
-    return eps, coeffs
+    for a in range(0, rows, block):
+        coeffs = rng.standard_normal((min(block, rows - a), n_features, 2))
+        coeffs *= sigma_n
+        yield eps[a : a + block], coeffs
 
 
 def _vector_constants(points, normals, weights, rows: int) -> Array:
@@ -388,10 +398,10 @@ def mc_direction_stats(
     h0 = hessians(np.zeros((1, n_feat, 3)), np.zeros((1, n_feat, 2)))
 
     def chunk_stats(rng, m):
-        eps, coeffs = _chunk_draws(rng, n_feat, m, noise.sigma_p, noise.sigma_n)
         vals = np.empty((m, 1, dirs.shape[1]))
-        for a in range(0, m, block):
-            dh = hessians(eps[a : a + block], coeffs[a : a + block]) - h0
+        draws = _chunk_draws(rng, n_feat, m, block, noise.sigma_p, noise.sigma_n)
+        for a, (eps, coeffs) in zip(range(0, m, block), draws):
+            dh = hessians(eps, coeffs) - h0
             # One (1, 36) @ (36, D) product per trial: a 2-D GEMM over the block
             # may round a block's tail rows differently.
             np.matmul(dh[:, None], uu, out=vals[a : a + block])
@@ -449,12 +459,11 @@ def spurious_info_demo(
     consts = _vector_constants(points, normals, weights, block)
 
     def chunk_moment(rng, m):
-        eps, coeffs = _chunk_draws(rng, n_feat, m, 0.0, sigma_n)
         part = np.zeros((6, 6))
-        for a in range(0, m, block):
+        for eps, coeffs in _chunk_draws(rng, n_feat, m, block, 0.0, sigma_n):
             # einsum sums a contiguous (rows, 6, N) array in the order the
             # pinned stream of criterion 2 was taken with.
-            vv = np.ascontiguousarray(_noisy_vectors(consts, eps[a : a + block], coeffs[a : a + block]))
+            vv = np.ascontiguousarray(_noisy_vectors(consts, eps, coeffs))
             part += np.einsum("min,mjn->ij", vv, vv)
         return part
 

@@ -173,7 +173,7 @@ class TestApplyNoise:
         consts = _vector_constants(sample.points, sample.normals, np.ones(300), 1)
 
         def vectors(rng, rows):
-            eps, coeffs = _chunk_draws(rng, 300, rows, 0.0, 0.05)
+            ((eps, coeffs),) = _chunk_draws(rng, 300, rows, rows, 0.0, 0.05)
             return _noisy_vectors(consts, eps, coeffs)
 
         (chunk,) = _mc_chunks(vectors, 300, 1, np.random.SeedSequence(19))
@@ -297,20 +297,23 @@ class TestMcHessianStats:
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
-    def test_peak_memory_is_bounded(self, monkeypatch):
-        # Each running chunk holds its draws, about 14 MB at 100 features, and
-        # one row block of work arrays; whole-chunk vectors took 112 MiB here.
-        # Two workers, so the bound does not depend on the host's core count.
+    @pytest.mark.parametrize("workers, bound_mib", [(1, 15), (2, 28)], ids=["1-worker", "2-workers"])
+    def test_peak_memory_is_bounded(self, monkeypatch, workers, bound_mib):
+        # Each running chunk holds its point noise, about 8.4 MB at 100
+        # features, one block's tangent coefficients and one row block of work
+        # arrays. Whole-chunk coefficients took 17.7 MiB on one worker and
+        # 33.3 MiB on two, whole-chunk vectors 112 MiB. The worker count is
+        # pinned, so the bound does not depend on the host's core count.
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=100, seed=40))
         directions = np.random.default_rng(41).standard_normal((6, 10))
-        force_workers(monkeypatch, 2)
+        force_workers(monkeypatch, workers)
         tracemalloc.start()
         try:
             mc_direction_stats(sample.points, sample.normals, 1.0, NoiseSpec(0.01, 0.01, 42), directions, 20_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < bound_mib * 2**20
 
 
 class TestNoisyVectors:
@@ -326,7 +329,7 @@ class TestNoisyVectors:
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
         normals[::2] *= rng.uniform(0.5, 2.0, (count // 2, 1))
         weights = rng.uniform(0.5, 2.0, count)
-        eps, coeffs = _chunk_draws(rng, count, rows, 0.05, 0.05)
+        ((eps, coeffs),) = _chunk_draws(rng, count, rows, rows, 0.05, 0.05)
         t1, t2 = _tangent_basis(normals)
         got = _noisy_vectors(_vector_constants(points, normals, weights, rows), eps, coeffs)
         assert got.shape == (rows, 6, count)
@@ -345,7 +348,7 @@ class TestNoisyVectors:
         points = rng.uniform(-2.0, 2.0, (count, 3))
         normals = rng.standard_normal((count, 3))
         normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        eps, coeffs = _chunk_draws(rng, count, rows, 0.05, 0.05)
+        ((eps, coeffs),) = _chunk_draws(rng, count, rows, rows, 0.05, 0.05)
         t2 = _tangent_basis(normals)[1]
         nt2 = np.cross(normals, t2)
         n = [normals[:, i] + coeffs[..., 0] * t2[:, i] + coeffs[..., 1] * nt2[:, i] for i in range(3)]
@@ -353,6 +356,20 @@ class TestNoisyVectors:
         want = np.stack([p[1] * n[2] - p[2] * n[1], p[2] * n[0] - p[0] * n[2], p[0] * n[1] - p[1] * n[0], *n], axis=1)
         got = _noisy_vectors(_vector_constants(points, normals, np.ones(count), rows), eps, coeffs)
         assert np.array_equal(got, want)
+
+
+class TestChunkDraws:
+    @pytest.mark.parametrize("block", [1, 7, 30], ids=["1-row", "7-rows", "whole-chunk"])
+    def test_blocks_continue_the_stream(self, block):
+        # 23 rows end in a partial block of 7 rows; 30 rows take the chunk whole.
+        rows, count, sigma_p, sigma_n = 23, 11, 0.02, 0.03
+        blocks = list(_chunk_draws(np.random.default_rng(47), count, rows, block, sigma_p, sigma_n))
+        assert [len(eps) for eps, _ in blocks] == [len(coeffs) for _, coeffs in blocks]
+        rng = np.random.default_rng(47)
+        want_eps = sigma_p * rng.standard_normal((rows, count, 3))
+        want_coeffs = sigma_n * rng.standard_normal((rows, count, 2))
+        assert np.array_equal(np.concatenate([eps for eps, _ in blocks]), want_eps)
+        assert np.array_equal(np.concatenate([coeffs for _, coeffs in blocks]), want_coeffs)
 
 
 class TestMcChunks:
@@ -412,19 +429,22 @@ class TestSpuriousInfoDemo:
         with pytest.raises(ValueError, match="must be >= 1"):
             spurious_info_demo(sample, 0.01, **counts)
 
-    def test_peak_memory_is_bounded(self, monkeypatch):
-        # Each running chunk holds its draws and one row block of vectors;
-        # whole-chunk vectors took 139 MiB here. Two workers, so the bound
-        # does not depend on the host's core count.
+    @pytest.mark.parametrize("workers, bound_mib", [(1, 15), (2, 28)], ids=["1-worker", "2-workers"])
+    def test_peak_memory_is_bounded(self, monkeypatch, workers, bound_mib):
+        # Each running chunk holds its point noise, about 8.4 MB, one block's
+        # tangent coefficients and one row block of vectors. Whole-chunk
+        # coefficients took 18.4 MiB on one worker and 34.7 MiB on two,
+        # whole-chunk vectors 139 MiB. The worker count is pinned, so the
+        # bound does not depend on the host's core count.
         sample = generate_scene(SceneSpec(SceneKind.INFINITE_PLANE, point_count=800, seed=37))
-        force_workers(monkeypatch, 2)
+        force_workers(monkeypatch, workers)
         tracemalloc.start()
         try:
             spurious_info_demo(sample, 0.01, 2_000, solve_trials=1, seed=38)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20
+        assert peak < bound_mib * 2**20
 
     def test_stream_is_pinned(self):
         """Criterion 2's Monte Carlo stream, at a tenth of its trials.
