@@ -14,7 +14,8 @@ else os.cpu_count), the rule registration's kd-tree queries use too, and
 their results are merged in chunk order, so the result is bit for bit the
 same for any worker count. Each chunk's stream gives all of its point noise
 first, then its tangent coefficients one row block at a time; the blocks
-continue the stream, so the values do not depend on the block size.
+continue the stream, so the values do not depend on the block size. Both
+oracles reduce the per-trial Hessians one engine, _mc_chunks, yields per block.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ _CHUNK_ELEMENTS = 2**21
 # 0.35 MB, and the constants tiled to a block's rows to about 2 MB, so a
 # worker holds one chunk's point noise and one block.
 # mc_direction_stats results do not depend on it (each trial's Hessian and its
-# projection are products of that trial's values alone); the summed moment of
-# spurious_info_demo does.
+# projection are products of that trial's values alone); spurious_info_demo,
+# which sums the Hessians one block at a time, does.
 _BLOCK_ELEMENTS = 2**17
 
 
@@ -270,29 +271,9 @@ def noisy_feature_arrays(
     return points, normals, sample.offsets.copy(), weights, point_cov, normal_covs
 
 
-def _chunk_rows(n_features: int) -> int:
-    return max(1, _CHUNK_ELEMENTS // max(n_features * 6, 1))
-
-
-def _block_rows(n_features: int) -> int:
-    """Rows per block of a chunk: the block's vectors are rows * 6 * N values."""
-    return max(1, _BLOCK_ELEMENTS // max(n_features * 6, 1))
-
-
-def _mc_chunks(task, n_features: int, trials: int, seed: np.random.SeedSequence) -> Iterator:
-    """Results of task(rng, rows) over chunks covering `trials` draws, in
-    chunk order.
-
-    Chunk i draws from the i-th child of seed, and every chunk but the last
-    has _chunk_rows(n_features) rows, so the results do not depend on the
-    worker count. Chunks run on a pool of _worker_count() threads; each task
-    builds its own generator, and an exception in a task is raised from the
-    iterator at that chunk.
-    """
-    rows = _chunk_rows(n_features)
-    sizes = [min(rows, trials - start) for start in range(0, trials, rows)]
-    with ThreadPoolExecutor(_worker_count()) as pool:
-        yield from pool.map(lambda child, m: task(np.random.default_rng(child), m), seed.spawn(len(sizes)), sizes)
+def _rows(elements: int, n_features: int) -> int:
+    """Trials whose vectors, rows * 6 * N values, fit in `elements`."""
+    return max(1, elements // max(n_features * 6, 1))
 
 
 def _chunk_draws(
@@ -363,6 +344,31 @@ def _trial_hessians(v) -> Array:
     return h.reshape(-1, 36)
 
 
+def _mc_chunks(reduce, points, normals, weights, sigma_p, sigma_n, trials: int, seed) -> Iterator:
+    """reduce(blocks) for each chunk of `trials` noise draws on the features,
+    in chunk order; blocks yields the chunk's per-trial Hessians (b, 36),
+    _trial_hessians(_noisy_vectors(...)), one row block at a time.
+
+    Chunk i draws from the i-th child of the SeedSequence seed, and all chunks
+    but the last have _rows(_CHUNK_ELEMENTS, N) rows, so the results do not
+    depend on the worker count. Chunks run on a pool of _worker_count()
+    threads; each task builds its own generator, and an exception in a task
+    is raised from the iterator at that chunk.
+    """
+    n_feat = points.shape[0]
+    rows = _rows(_CHUNK_ELEMENTS, n_feat)
+    block = _rows(_BLOCK_ELEMENTS, n_feat)
+    consts = _vector_constants(points, normals, weights, block)
+    sizes = [min(rows, trials - start) for start in range(0, trials, rows)]
+
+    def task(child, m):
+        draws = _chunk_draws(np.random.default_rng(child), n_feat, m, block, sigma_p, sigma_n)
+        return reduce(_trial_hessians(_noisy_vectors(consts, eps, coeffs)) for eps, coeffs in draws)
+
+    with ThreadPoolExecutor(_worker_count()) as pool:
+        yield from pool.map(task, seed.spawn(len(sizes)), sizes)
+
+
 def mc_direction_stats(
     points, normals, weights, noise: NoiseSpec, directions, trials: int
 ) -> tuple[Array, Array]:
@@ -389,30 +395,21 @@ def mc_direction_stats(
     weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (n_feat,))
     dirs = np.asarray(directions, dtype=np.float64).reshape(6, -1)
     uu = np.einsum("id,jd->ijd", dirs, dirs).reshape(36, -1)
-    block = _block_rows(n_feat)
-    consts = _vector_constants(points, normals, weights, block)
+    zeros = np.zeros((1, n_feat, 3))
+    h0 = _trial_hessians(_noisy_vectors(_vector_constants(points, normals, weights, 1), zeros, zeros[..., :2]))
 
-    def hessians(eps, coeffs):
-        return _trial_hessians(_noisy_vectors(consts, eps, coeffs))
-
-    h0 = hessians(np.zeros((1, n_feat, 3)), np.zeros((1, n_feat, 2)))
-
-    def chunk_stats(rng, m):
-        vals = np.empty((m, 1, dirs.shape[1]))
-        draws = _chunk_draws(rng, n_feat, m, block, noise.sigma_p, noise.sigma_n)
-        for a, (eps, coeffs) in zip(range(0, m, block), draws):
-            dh = hessians(eps, coeffs) - h0
-            # One (1, 36) @ (36, D) product per trial: a 2-D GEMM over the block
-            # may round a block's tail rows differently.
-            np.matmul(dh[:, None], uu, out=vals[a : a + block])
-        vals = vals[:, 0]
+    def chunk_stats(blocks):
+        # One (1, 36) @ (36, D) product per trial: a 2-D GEMM over a block
+        # may round the block's tail rows differently.
+        vals = np.concatenate([(h - h0)[:, None] @ uu for h in blocks])[:, 0]
         c_mean = vals.mean(axis=0)
-        return m, c_mean, np.sum((vals - c_mean) ** 2, axis=0)
+        return len(vals), c_mean, np.sum((vals - c_mean) ** 2, axis=0)
 
-    count = 0
-    mean = np.zeros(dirs.shape[1])
-    m2 = np.zeros(dirs.shape[1])
-    for m, c_mean, c_m2 in _mc_chunks(chunk_stats, n_feat, trials, np.random.SeedSequence(noise.seed)):
+    count, mean, m2 = 0, 0.0, 0.0
+    chunks = _mc_chunks(
+        chunk_stats, points, normals, weights, noise.sigma_p, noise.sigma_n, trials, np.random.SeedSequence(noise.seed)
+    )
+    for m, c_mean, c_m2 in chunks:
         delta = c_mean - mean
         total = count + m
         mean = mean + delta * (m / total)
@@ -452,26 +449,15 @@ def spurious_info_demo(
     f = np.concatenate([np.cross(points, tangents), tangents], axis=-1).reshape(-1, 6)
     h_noise = sigma_n**2 * (f.T @ f)
 
-    root = np.random.SeedSequence(seed)
-    ss_mean, ss_solve = root.spawn(2)
+    ss_mean, ss_solve = np.random.SeedSequence(seed).spawn(2)
 
-    block = _block_rows(n_feat)
-    consts = _vector_constants(points, normals, weights, block)
+    # Expectation identity by Monte Carlo (zero point noise). Each row block
+    # is summed on its own: one sum over a chunk's Hessians moved the pinned
+    # criterion-2 value by 5e-12 relative.
+    def chunk_sum(blocks):
+        return sum(h.sum(axis=0) for h in blocks)
 
-    def chunk_moment(rng, m):
-        part = np.zeros((6, 6))
-        for eps, coeffs in _chunk_draws(rng, n_feat, m, block, 0.0, sigma_n):
-            # einsum sums a contiguous (rows, 6, N) array in the order the
-            # pinned stream of criterion 2 was taken with.
-            vv = np.ascontiguousarray(_noisy_vectors(consts, eps, coeffs))
-            part += np.einsum("min,mjn->ij", vv, vv)
-        return part
-
-    # Expectation identity by Monte Carlo (zero point noise).
-    acc = np.zeros((6, 6))
-    for part in _mc_chunks(chunk_moment, n_feat, trials, ss_mean):
-        acc += part
-    mean_h = acc / trials
+    mean_h = sum(_mc_chunks(chunk_sum, points, normals, weights, 0.0, sigma_n, trials, ss_mean)).reshape(6, 6) / trials
     # Gauge the identity error against the predicted inflation; fall back to
     # the Hessian scale when the predicted inflation is zero (zero noise).
     denom = np.linalg.norm(h_noise)

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 
-from degen_icp import NoCorrespondences, Pose, exp_so3, skew
+from degen_icp import HessianBundle, NoCorrespondences, Pose, exp_so3, skew
 
 
 def random_rotation(rng):
@@ -77,6 +77,13 @@ def feature_covariance(p, n, w, point_cov, normal_cov):
     return 0.5 * (sigma + sigma.T)
 
 
+def empty_bundle():
+    """A HessianBundle with no feature rows."""
+    return HessianBundle(
+        np.zeros((6, 6)), np.zeros(6), np.zeros((0, 6)), np.zeros((0, 3, 6)), np.zeros((0, 3, 3)), np.zeros((0, 3, 3))
+    )
+
+
 def fail_after_first_call(extract_features):
     """extract_features that raises NoCorrespondences from its second call on."""
     calls = []
@@ -104,7 +111,8 @@ def sequential_mc_direction_stats(points, normals, weights, noise, directions, t
     per-trial Hessians, noise-free Hessian and per-trial projection, so the
     two agree bit for bit.
     """
-    from degen_icp.simulation import _chunk_rows, _noisy_vectors, _trial_hessians, _vector_constants
+    from degen_icp import simulation
+    from degen_icp.simulation import _noisy_vectors, _rows, _trial_hessians, _vector_constants
 
     points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     normals = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
@@ -112,7 +120,7 @@ def sequential_mc_direction_stats(points, normals, weights, noise, directions, t
     weights = np.broadcast_to(np.asarray(weights, dtype=np.float64), (n_feat,))
     dirs = np.asarray(directions, dtype=np.float64).reshape(6, -1)
     uu = np.einsum("id,jd->ijd", dirs, dirs).reshape(36, -1)
-    rows = _chunk_rows(n_feat)
+    rows = _rows(simulation._CHUNK_ELEMENTS, n_feat)
     consts = _vector_constants(points, normals, weights, rows)
 
     def hessians(eps, coeffs):

@@ -379,6 +379,27 @@ class TestConfigAndErrors:
             assert _run("simulate", "--config", path) == 2
             assert f"unsupported version {version!r} (expected 1)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read config"),
+            ("{bad", "is not valid JSON"),
+            ("[1]", "top level must be an object"),
+            ('{"version": 1, "sensor": 3}', "'sensor' must be an object"),
+            ('{"version": 1, "method": {"name": "ridge"}}', "method.name must be one of"),
+        ],
+        ids=["missing", "invalid-json", "top-level-list", "group-not-object", "unknown-method"],
+    )
+    def test_bad_config_file_exit_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        if text is not None:
+            path.write_text(text)
+        identity = "1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1"
+        assert _register_with_init(tmp_path, identity, "--config", path, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"config {path}" in err and message in err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"version": 1, "sensor": {"sigma_q": 1.0}}))
@@ -470,6 +491,14 @@ class TestConfigAndErrors:
         assert "empty.ply" in err and "no points" in err
         assert not (tmp_path / "o").exists()
 
+    def test_target_too_small_exits_1(self, tmp_path, capsys):
+        cloud_io.write_ply(tmp_path / "c.ply", np.random.default_rng(0).uniform(-1, 1, (30, 3)))
+        cloud_io.write_ply(tmp_path / "two.ply", np.random.default_rng(1).uniform(-1, 1, (2, 3)))
+        argv = ("register", "--source", tmp_path / "c.ply", "--target", tmp_path / "two.ply", "--out", tmp_path / "o")
+        assert _run(*argv) == 1
+        assert "no correspondences: target cloud too small for plane fitting" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_config_range_error_names_file_and_key(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"version": 1, "icp": {"max_correspondence_distance": -1}}))
@@ -515,6 +544,7 @@ class TestConfigAndErrors:
             ("detect", "--max-correspondence-distance", "1"),
             ("oracle", "--var-rtol", "0.1"),
             ("oracle", "--mean-sigmas", "3"),
+            ("sweep", "--parameter", "s", "--values", "1,x"),
         ],
     )
     def test_parser_rejects(self, argv):

@@ -49,6 +49,21 @@ class TestPly:
         with pytest.raises(ValueError, match="neg.ply: malformed PLY header"):
             cloud_io.read_ply(path)
 
+    def test_rejects_element_before_vertex(self, tmp_path):
+        path = tmp_path / "face.ply"
+        header = "ply\nformat ascii 1.0\nelement face 0\nelement vertex 1\n"
+        path.write_text(header + "".join(f"property double {c}\n" for c in "xyz") + "end_header\n0 0 0\n")
+        with pytest.raises(ValueError, match="face.ply: unsupported element 'face' before vertex"):
+            cloud_io.read_ply(path)
+
+    def test_reads_blank_header_lines(self, tmp_path):
+        path = tmp_path / "gaps.ply"
+        header = "ply\n\nformat ascii 1.0\n   \nelement vertex 1\n" + "".join(f"property double {c}\n\n" for c in "xyz")
+        path.write_text(header + "end_header\n1 2 3\n")
+        points, normals = cloud_io.read_ply(path)
+        np.testing.assert_array_equal(points, [[1, 2, 3]])
+        assert normals is None
+
     def test_ignores_elements_after_vertex(self, tmp_path):
         path = tmp_path / "mesh.ply"
         header = "ply\nformat ascii 1.0\nelement vertex 3\n" + "".join(f"property double {c}\n" for c in "xyz")
@@ -161,6 +176,13 @@ _MALFORMED = {
 }
 
 
+def test_rejects_unknown_extension(tmp_path):
+    path = tmp_path / "scan.xyz"
+    path.write_text("0 0 0\n")
+    with pytest.raises(ValueError, match="scan.xyz: unsupported cloud format '.xyz'"):
+        cloud_io.load_cloud(path)
+
+
 @pytest.mark.parametrize("name", _MALFORMED)
 def test_rejects_malformed_rows(tmp_path, name):
     path = tmp_path / name
@@ -179,6 +201,12 @@ class TestCsv:
         np.testing.assert_allclose(rn, normals, atol=1e-6)
         header = path.read_text().splitlines()[0]
         assert header == "x,y,z,nx,ny,nz"
+
+    def test_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "none.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match="none.csv: empty CSV"):
+            cloud_io.load_cloud(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from conftest import (
+    empty_bundle,
     feature_covariance,
     feature_vector,
     noise_jacobian,
@@ -304,6 +305,10 @@ class TestDegeneracyProbability:
 
 
 class TestAnalyze:
+    def test_empty_bundle_raises(self):
+        with pytest.raises(EmptyFeatureSet, match="cannot analyze an empty bundle"):
+            analyze(empty_bundle())
+
     def test_noise_free_room_all_probability_one(self):
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=500, seed=0))
         arrays = noisy_feature_arrays(sample, NoiseSpec(0.0, 0.0, 0))

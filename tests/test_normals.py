@@ -61,6 +61,10 @@ class TestFitPlane:
         pts = np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2]], dtype=float)
         assert _fit(pts).collinear.tolist() == [True]
 
+    def test_rejects_flat_array(self):
+        with pytest.raises(ValueError, match="neighbors must have shape"):
+            fit_planes(np.zeros((4, 3)))
+
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             _fit(np.array([[0, 0, 0], [1, 0, 0]], dtype=float))

@@ -3,11 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
-from conftest import fail_after_first_call, force_workers, random_feature_arrays, rotation_angle
+from conftest import empty_bundle, fail_after_first_call, force_workers, random_feature_arrays, rotation_angle
 
 from degen_icp import (
     ConditionNumber,
     EigenTruncate,
+    EmptyFeatureSet,
     IcpConfig,
     NoCorrespondences,
     NoiseSpec,
@@ -82,6 +83,15 @@ class TestLinearize:
 
 
 class TestSolveUpdate:
+    def test_empty_bundle_raises(self):
+        with pytest.raises(EmptyFeatureSet, match="cannot solve an empty bundle"):
+            solve_update(empty_bundle(), Probabilistic())
+
+    def test_unknown_method_raises(self):
+        bundle = accumulate_arrays(*random_feature_arrays(np.random.default_rng(20), 30))
+        with pytest.raises(TypeError, match="unknown solver method"):
+            solve_update(bundle, object())
+
     def test_probabilistic_equals_standard_when_certain(self):
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=400, seed=0))
         bundle = accumulate_arrays(*noisy_feature_arrays(sample, NoiseSpec(0.0, 0.0, 0)))
@@ -562,6 +572,11 @@ class TestIcp:
         target = source + 100.0
         with pytest.raises(NoCorrespondences):
             icp(source, target, None, IcpConfig())
+
+    def test_empty_source_raises(self):
+        target = np.random.default_rng(19).uniform(-1, 1, (50, 3))
+        with pytest.raises(ValueError, match="source and target clouds must be nonempty"):
+            icp(np.zeros((0, 3)), target, None, IcpConfig())
 
     def test_later_no_correspondences_keeps_iterations(self, monkeypatch):
         monkeypatch.setattr(registration, "extract_features", fail_after_first_call(registration.extract_features))

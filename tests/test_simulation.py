@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import time
 import tracemalloc
@@ -26,7 +27,14 @@ from degen_icp import (
     simulation,
     spurious_info_demo,
 )
-from degen_icp.simulation import _chunk_draws, _mc_chunks, _noisy_vectors, _tangent_basis, _vector_constants
+from degen_icp.simulation import (
+    _chunk_draws,
+    _mc_chunks,
+    _noisy_vectors,
+    _tangent_basis,
+    _trial_hessians,
+    _vector_constants,
+)
 
 ALL_KINDS = list(SceneKind)
 
@@ -172,12 +180,9 @@ class TestApplyNoise:
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=300, seed=18))
         consts = _vector_constants(sample.points, sample.normals, np.ones(300), 1)
 
-        def vectors(rng, rows):
-            ((eps, coeffs),) = _chunk_draws(rng, 300, rows, rows, 0.0, 0.05)
-            return _noisy_vectors(consts, eps, coeffs)
-
-        (chunk,) = _mc_chunks(vectors, 300, 1, np.random.SeedSequence(19))
-        norms = np.linalg.norm(chunk[0, 3:], axis=0)
+        rng = np.random.default_rng(np.random.SeedSequence(19).spawn(1)[0])
+        ((eps, coeffs),) = _chunk_draws(rng, 300, 1, 1, 0.0, 0.05)
+        norms = np.linalg.norm(_noisy_vectors(consts, eps, coeffs)[0, 3:], axis=0)
         assert norms.max() > 1.0
         assert abs(norms - 1.0).max() < 0.05  # ~ sigma_n^2 scale, far below sigma_n
 
@@ -189,6 +194,11 @@ class TestApplyNoise:
 
 
 class TestMcHessianStats:
+    def test_rejects_one_trial(self):
+        sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=50, seed=22))
+        with pytest.raises(ValueError, match="trials must be >= 2"):
+            _mc_one(sample.points, sample.normals, 1.0, NoiseSpec(0.01, 0.01, 23), np.eye(6)[0], 1)
+
     def test_zero_noise_is_deterministic(self):
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=100, seed=22))
         u = np.zeros(6)
@@ -373,34 +383,52 @@ class TestChunkDraws:
 
 
 class TestMcChunks:
-    # 2**21 features make every chunk a single row, so `trials` is the chunk count.
-    N_FEATURES = 2**21
+    # One trial per chunk, so `trials` is the chunk count, and each chunk is
+    # told apart by the first entry of its one trial Hessian.
+    FEATURES = 3
+
+    def _features(self, seed):
+        points, normals, _, weights, _, _ = random_feature_arrays(np.random.default_rng(seed), self.FEATURES)
+        return points, normals, weights
+
+    def _engine(self, monkeypatch, reduce, chunks, seed):
+        monkeypatch.setattr(simulation, "_CHUNK_ELEMENTS", 1)
+        force_workers(monkeypatch, 2)
+        return _mc_chunks(reduce, *self._features(seed), 0.01, 0.02, chunks, np.random.SeedSequence(seed))
+
+    def _first_entries(self, chunks, seed):
+        """Each chunk's first Hessian entry, from its own draws."""
+        consts = _vector_constants(*self._features(seed), 1)
+        firsts = []
+        for child in np.random.SeedSequence(seed).spawn(chunks):
+            ((eps, coeffs),) = _chunk_draws(np.random.default_rng(child), self.FEATURES, 1, 1, 0.01, 0.02)
+            firsts.append(_trial_hessians(_noisy_vectors(consts, eps, coeffs))[0, 0])
+        return firsts
 
     def test_results_in_chunk_order(self, monkeypatch):
         # Earlier chunks sleep longer, so on two workers they finish last.
         chunks = 4
-        first_draws = [np.random.default_rng(c).random() for c in np.random.SeedSequence(43).spawn(chunks)]
+        firsts = self._first_entries(chunks, 43)
 
-        def task(rng, rows):
-            draw = rng.random()
-            time.sleep(0.05 * (chunks - first_draws.index(draw)))
-            return rows, draw
+        def reduce(blocks):
+            (h,) = blocks
+            time.sleep(0.05 * (chunks - firsts.index(h[0, 0])))
+            return len(h), h[0, 0]
 
-        force_workers(monkeypatch, 2)
-        got = list(_mc_chunks(task, self.N_FEATURES, chunks, np.random.SeedSequence(43)))
-        assert got == [(1, draw) for draw in first_draws]
+        got = list(self._engine(monkeypatch, reduce, chunks, 43))
+        assert got == [(1, first) for first in firsts]
 
     def test_task_error_is_raised(self, monkeypatch):
-        fail_on = np.random.default_rng(np.random.SeedSequence(44).spawn(3)[1]).random()
+        fail_on = self._first_entries(3, 44)[1]
 
-        def task(rng, rows):
-            if rng.random() == fail_on:
+        def reduce(blocks):
+            (h,) = blocks
+            if h[0, 0] == fail_on:
                 raise ValueError("chunk 1 failed")
-            return rows
+            return len(h)
 
-        force_workers(monkeypatch, 2)
         with pytest.raises(ValueError, match="chunk 1 failed"):
-            list(_mc_chunks(task, self.N_FEATURES, 3, np.random.SeedSequence(44)))
+            list(self._engine(monkeypatch, reduce, 3, 44))
 
 
 def _mc_one(points, normals, weights, noise, u, trials):
@@ -445,6 +473,16 @@ class TestSpuriousInfoDemo:
         finally:
             tracemalloc.stop()
         assert peak < bound_mib * 2**20
+
+    def test_worker_count_changes_no_bit(self, monkeypatch):
+        # Chunks are merged in chunk order whatever thread finishes first.
+        sample = generate_scene(SceneSpec(SceneKind.CORRIDOR, point_count=700, seed=36))
+        reports = []
+        for workers in (1, 2):
+            force_workers(monkeypatch, workers)
+            reports.append(spurious_info_demo(sample, 0.01, 3_000, solve_trials=2, seed=37))
+        for field in dataclasses.fields(reports[0]):
+            assert np.array_equal(getattr(reports[0], field.name), getattr(reports[1], field.name)), field.name
 
     def test_stream_is_pinned(self):
         """Criterion 2's Monte Carlo stream, at a tenth of its trials.
