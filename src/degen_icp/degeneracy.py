@@ -170,6 +170,8 @@ def degeneracy_probability(signal: float, mu: float, sigma: float, s: float) -> 
     With noise ~ N(mu, sigma^2) this is Phi((signal/(s+1) - mu) / sigma).
     At sigma == 0 the limit is taken: 1 for positive signal, else 0.
     """
+    if not s >= 0.0:
+        raise ValueError(f"s must be nonnegative, got {s}")
     if sigma > 0.0:
         return gaussian_cdf((signal / (s + 1.0) - mu) / sigma)
     return 1.0 if signal > 0.0 else 0.0

@@ -14,9 +14,12 @@ from numpy.typing import NDArray
 
 from .errors import TooFewPoints
 
-__all__ = ["PlaneFitBatch", "fit_planes", "normal_covariances"]
+__all__ = ["PlaneFits", "fit_planes"]
 
 Array = NDArray[np.float64]
+
+# Outcome of a fitted row in PlaneFits.outcome; code 0 is left to callers.
+_COLLINEAR, _OUTLIER, _KEPT = 1, 2, 3
 
 # lambda2 below this fraction of lambda1 marks a collinear neighborhood.
 _COLLINEAR_RATIO = 1e-12
@@ -27,40 +30,45 @@ _SCREEN_TOL = 1e-6
 
 
 @dataclass(frozen=True)
-class PlaneFitBatch:
-    """Vectorized fits for many neighborhoods; bad rows are flagged, not raised.
+class PlaneFits:
+    """Plane fits of an (M, k, 3) neighborhood stack under the variance gate.
 
-    rotations holds each fit's eigenvectors as columns, in the order of the
-    descending eigenvalues; normals is the last column. Column signs are
-    whatever the eigensolver returns. rows holds the index, in the fitted
-    neighborhood stack, of each of the M fits: the rows fit_planes'
-    min_lambda2 screen kept, all of the stack at min_lambda2 = 0.
+    outcome holds one code per row: _COLLINEAR (1), _OUTLIER (2) or _KEPT (3).
+    normals and covs hold the K kept rows, in row order: the unit normal, its
+    sign whatever the eigensolver returns, and its tangent-space covariance.
     """
 
-    normals: Array      # (M, 3)
-    eigenvalues: Array  # (M, 3) descending
-    rotations: Array    # (M, 3, 3)
-    collinear: Array    # (M,) bool
-    rows: NDArray[np.intp]  # (M,)
+    outcome: NDArray[np.int8]  # (M,)
+    normals: Array  # (K, 3)
+    covs: Array     # (K, 3, 3)
 
 
-def fit_planes(neighbors, min_lambda2: float = 0.0) -> PlaneFitBatch:
-    """Fit one plane per row of an (M, k, 3) neighborhood stack, k >= 3.
+def fit_planes(neighbors, sigma_i: float, sigma_n_max: float) -> PlaneFits:
+    """Fit one plane per row of an (M, k, 3) neighborhood stack, k >= 3, with
+    the covariance of its normal under isotropic point noise of standard
+    deviation sigma_i, and gate it at sigma_n_max.
+
+    A row is collinear when lambda2 <= _COLLINEAR_RATIO lambda1 of its
+    scatter c^T c / (k - 1), an outlier when its worst-case normal variance
+    s / lambda2, s = sigma_i^2 / k, exceeds sigma_n_max^2, and kept
+    otherwise. A kept row's covariance is R diag(s / lambda2, s / lambda1, 0)
+    R^T with R its eigenvectors by descending eigenvalue: the covariance of
+    the small-rotation perturbation eta in the model n_hat = n + cross(n, eta),
+    so it annihilates the normal. Conjugating it by skew(normal) swaps the
+    tangent axes and yields the scatter of the normal vector itself.
 
     Normals are unoriented and their signs are not normalized: no result
     downstream reads them, because flipping a normal with its offset
-    negates a feature vector and its residual together, and the normal
-    covariance R diag(var) R^T ignores column signs.
+    negates a feature vector and its residual together, and the covariance
+    ignores column signs.
 
-    The screen leaves out the rows whose middle eigenvalue is certainly
-    below min_lambda2 and which are certainly not collinear; at
-    min_lambda2 = sigma_i^2 / k / sigma_n_max^2 these are rows that
-    normal_covariances would reject as outliers, and at 0 there are none.
-    Two bounds on lambda2 from the trace and the principal minors of the six
-    unique scatter entries of each row, a (6, M) array, decide it; only the
-    rest are assembled into 3x3 matrices and eigendecomposed, each on its
-    own, so the fits returned are bit for bit those of the same rows at
-    min_lambda2 = 0. batch.rows says which rows they are.
+    The screen marks as outliers, undecomposed, the rows whose lambda2 is
+    certainly below s / sigma_n_max^2 (0, which leaves out none, when
+    sigma_n_max <= 0) and which are certainly not collinear. Two bounds on
+    lambda2 from the trace and the principal minors of the six unique
+    scatter entries of each row, a (6, M) array, decide it; only the rest
+    are assembled into 3x3 matrices and eigendecomposed, each on its own, so
+    every outcome and kept fit is bit for bit that of an unscreened call.
     """
     pts = np.asarray(neighbors, dtype=np.float64)
     if pts.ndim != 3 or pts.shape[-1] != 3:
@@ -68,6 +76,7 @@ def fit_planes(neighbors, min_lambda2: float = 0.0) -> PlaneFitBatch:
     k = pts.shape[1]
     if k < 3:
         raise TooFewPoints(f"plane fit needs at least 3 points, got {k}")
+    s = sigma_i**2 / k
 
     # A running sum over the k slices gives the bits of pts.mean(axis=1) in half its time.
     centered = pts - (sum((pts[:, j] for j in range(1, k)), pts[:, 0]) / k)[:, None, :]
@@ -76,16 +85,22 @@ def fit_planes(neighbors, min_lambda2: float = 0.0) -> PlaneFitBatch:
     mom = np.stack([np.einsum("mk,mk->m", a, b) for a, b in ((x, x), (y, y), (z, z), (x, y), (x, z), (y, z))])
     mom /= k - 1
 
-    rows = np.flatnonzero(~_screened_out(mom, min_lambda2))
+    rows = np.flatnonzero(~_screened_out(mom, s / sigma_n_max**2 if sigma_n_max > 0.0 else 0.0))
     mom = mom[:, rows]
 
-    covs = mom[[0, 3, 4, 3, 1, 5, 4, 5, 2]].T.reshape(-1, 3, 3)
-    evals, evecs = np.linalg.eigh(covs)           # ascending
-    evals = np.clip(evals[:, ::-1], 0.0, None)    # descending
-    evecs = evecs[:, :, ::-1]
+    evals, evecs = np.linalg.eigh(mom[[0, 3, 4, 3, 1, 5, 4, 5, 2]].T.reshape(-1, 3, 3))  # ascending
+    lam = np.clip(evals[:, ::-1], 0.0, None)  # descending
+    collinear = lam[:, 1] <= _COLLINEAR_RATIO * lam[:, 0]
+    # The worst-case variance s / lambda2, inf where lambda2 is not positive.
+    worst = np.divide(s, lam[:, 1], out=np.full(lam.shape[0], np.inf), where=lam[:, 1] > 0.0)
+    keep = ~collinear & ~(worst > sigma_n_max**2)
 
-    collinear = evals[:, 1] <= _COLLINEAR_RATIO * evals[:, 0]
-    return PlaneFitBatch(evecs[:, :, 2], evals, evecs, collinear, rows)
+    outcome = np.full(pts.shape[0], _OUTLIER, dtype=np.int8)
+    outcome[rows[collinear]] = _COLLINEAR
+    outcome[rows[keep]] = _KEPT
+    rot = evecs[:, :, ::-1][keep]
+    var = np.column_stack([worst[keep], s / lam[keep, 0], np.zeros(rot.shape[0])])
+    return PlaneFits(outcome, rot[:, :, 2], (rot * var[:, None, :]) @ np.swapaxes(rot, 1, 2))
 
 
 def _lambda2_bounds(mom: Array) -> tuple[Array, Array, Array]:
@@ -98,10 +113,10 @@ def _lambda2_bounds(mom: Array) -> tuple[Array, Array, Array]:
     return t, 0.5 * t * r, 2.0 * t * r / (1.0 + np.sqrt(np.maximum(1.0 - 4.0 * r, 0.0)))
 
 
-def _screened_out(mom: Array, min_lambda2: float) -> NDArray[np.bool_]:
+def _screened_out(mom: Array, floor: float) -> NDArray[np.bool_]:
     """Columns of a (6, M) stack of symmetric PSD 3x3 matrices, given by their
     entries a00, a11, a22, a01, a02, a12, whose middle eigenvalue is
-    certainly below min_lambda2 and certainly above the collinear bound.
+    certainly below floor and certainly above the collinear bound.
 
     With the trace t and the sum c = l1 l2 + l1 l3 + l2 l3 of the principal
     2x2 minors: x^2 - t x + c equals l1 l3 >= 0 at x = l2, and l2 <= t / 2,
@@ -111,33 +126,4 @@ def _screened_out(mom: Array, min_lambda2: float) -> NDArray[np.bool_]:
     """
     t, lo, hi = _lambda2_bounds(mom)
     tol = _SCREEN_TOL * t
-    return (hi + tol < min_lambda2) & (lo - tol > _COLLINEAR_RATIO * (t + tol))
-
-
-def normal_covariances(
-    batch: PlaneFitBatch, sigma_i: float, n_points: int, sigma_n_max: float
-) -> tuple[Array, Array]:
-    """Tangent-space covariances of fitted unit normals, for isotropic point
-    noise of standard deviation sigma_i over n_points neighbors each, and the
-    outlier test on them.
-
-    A covariance is R diag(s / lambda2, s / lambda1, 0) R^T with
-    s = sigma_i^2 / n_points and R the fit's rotation: the covariance of the
-    small-rotation perturbation eta in the model n_hat = n + cross(n, eta),
-    so it annihilates the normal. Conjugating it by skew(normal) swaps the
-    tangent axes and yields the scatter of the normal vector itself.
-
-    Returns (keep, covs). keep (M,) marks the rows that are not collinear and
-    whose worst-case variance s / lambda2 is at most sigma_n_max^2 (a zero
-    lambda2 makes it inf). covs (K, 3, 3) holds the covariances of those K
-    rows, in order; rejected rows are skipped, not computed.
-    """
-    lam = batch.eigenvalues
-    s = sigma_i**2 / n_points
-    var = np.full(lam.shape, np.inf)
-    var[:, 2] = 0.0
-    np.divide(s, lam[:, 1], out=var[:, 0], where=lam[:, 1] > 0.0)
-    np.divide(s, lam[:, 0], out=var[:, 1], where=lam[:, 0] > 0.0)
-    keep = ~batch.collinear & ~(var[:, 0] > sigma_n_max**2)
-    rotations = batch.rotations[keep]
-    return keep, (rotations * var[keep][:, None, :]) @ np.swapaxes(rotations, 1, 2)
+    return (hi + tol < floor) & (lo - tol > _COLLINEAR_RATIO * (t + tol))

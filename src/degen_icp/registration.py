@@ -33,9 +33,9 @@ from .degeneracy import (
     _eigh_descending,
     accumulate_arrays,
 )
-from .errors import EmptyFeatureSet, NoCorrespondences, NoiseOverflow, SingularHessian
+from .errors import EmptyFeatureSet, NoCorrespondences, NoiseOverflow, SingularHessian, TooFewPoints
 from .geometry import Pose, compose, exp_se3, frame_change_matrix
-from .normals import fit_planes, normal_covariances
+from .normals import _KEPT, fit_planes
 
 __all__ = [
     "Standard",
@@ -232,8 +232,9 @@ def solve_update(bundle: HessianBundle, method: SolverMethod, sigma_r: float = 1
     return UpdateSolution(x, gamma, tuple(reports), info)
 
 
-# Outcome of a source row in _Carry.state, in FeatureStats order.
-_FAR, _COLLINEAR, _OUTLIER, _KEPT = range(4)
+# Outcome of a source row in _Carry.state beside fit_planes' collinear (1),
+# outlier (2) and kept (3), in FeatureStats order.
+_FAR = 0
 
 
 class _Carry:
@@ -247,6 +248,8 @@ class _Carry:
     def __init__(self, rows: int, target: Array, k_neighbors: int):
         if rows == 0 or target.shape[0] == 0:
             raise ValueError("source and target clouds must be nonempty")
+        if k_neighbors < 3:
+            raise TooFewPoints(f"plane fit needs at least 3 points, got k_neighbors={k_neighbors}")
         self.k = min(k_neighbors, target.shape[0])
         if self.k < 3:
             raise NoCorrespondences("target cloud too small for plane fitting")
@@ -318,16 +321,10 @@ def extract_features(
     carry.slack2[redo] = np.where(slack > 0.0, slack**2, -1.0)
     del moved, redo, at, dist, idx, old, changed, near, gap, gate, slack  # the first fit of a run sets the peak memory
 
-    # The variance gate of normal_covariances, as a bound on lambda2, lets
-    # fit_planes skip the eigendecomposition of rows it would reject.
-    min_lambda2 = config.sigma_i**2 / k / config.sigma_n_max**2 if config.sigma_n_max > 0.0 else 0.0
-    batch = fit_planes(tgt[carry.idx[refit]], min_lambda2)
-    keep, rot_cov_w = normal_covariances(batch, config.sigma_i, k, config.sigma_n_max)
-    carry.state[refit] = _OUTLIER
-    carry.state[refit[batch.rows[batch.collinear]]] = _COLLINEAR
-    kept = refit[batch.rows[keep]]
-    carry.state[kept] = _KEPT
-    carry.normals[kept], carry.covs[kept] = batch.normals[keep], rot_cov_w
+    fits = fit_planes(tgt[carry.idx[refit]], config.sigma_i, config.sigma_n_max)
+    carry.state[refit] = fits.outcome
+    kept = refit[fits.outcome == _KEPT]
+    carry.normals[kept], carry.covs[kept] = fits.normals, fits.covs
 
     far, collinear, outlier, used = map(int, np.bincount(carry.state, minlength=4))
     if used == 0:

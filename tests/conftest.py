@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 
-from degen_icp import HessianBundle, NoCorrespondences, Pose, exp_so3, skew
+from degen_icp import HessianBundle, NoCorrespondences, Pose, exp_so3, normals, skew
 
 
 def random_rotation(rng):
@@ -101,6 +101,11 @@ def force_workers(monkeypatch, workers):
     """Pin the thread count of kd-tree queries and Monte Carlo chunks by
     faking the affinity lookup."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+
+
+def keep_every_row(monkeypatch):
+    """Patch the screen of normals.fit_planes to leave every row in."""
+    monkeypatch.setattr(normals, "_screened_out", lambda mom, floor: np.zeros(mom.shape[1], dtype=bool))
 
 
 def sequential_mc_direction_stats(points, normals, weights, noise, directions, trials):

@@ -32,7 +32,6 @@ from degen_icp import (
     generate_scene,
     icp,
     mc_direction_stats,
-    normal_covariances,
     skew,
     solve_update,
     spurious_info_demo,
@@ -252,15 +251,14 @@ def test_criterion_07_normal_covariance_dual_form():
         )
         pts[:, 2] = 0.2 * pts[:, 0] - 0.1 * pts[:, 1] + 0.02 * rng.standard_normal(count)
         pts += 0.02 * rng.standard_normal((count, 3))
-        batch = fit_planes(pts[None])
-        assert batch.eigenvalues[0, 2] > 0
         sigma_i = 0.01
-        _, covs = normal_covariances(batch, sigma_i, count, np.inf)
-        normal = batch.normals[0]
+        fits = fit_planes(pts[None], sigma_i, np.inf)
+        normal = fits.normals[0]
         centered = pts - pts.mean(axis=0)
         emp_cov = centered.T @ centered / (count - 1)
+        assert np.linalg.eigvalsh(emp_cov)[0] > 0
         dual = skew(normal) @ ((sigma_i**2 / count) * np.linalg.inv(emp_cov)) @ skew(normal).T
-        err = float(np.abs(covs[0] - dual).max())
+        err = float(np.abs(fits.covs[0] - dual).max())
         worst = max(worst, err)
         assert err <= 1e-10
     _pass(f"criterion 7: dual-form agreement, worst entry difference {worst:.2e}")

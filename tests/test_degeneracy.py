@@ -299,6 +299,15 @@ class TestDegeneracyProbability:
         ps = [degeneracy_probability(a, 1.0, 0.5, 10.0) for a in np.linspace(0, 30, 100)]
         assert all(b >= a for a, b in zip(ps, ps[1:]))
 
+    @pytest.mark.parametrize("s", [-1.0, -2.0, -1e-300, float("nan")])
+    def test_negative_snr_target_raises(self, s):
+        # s = -1 divided by zero and s < -1 flipped the signal's sign.
+        with pytest.raises(ValueError, match="s must be nonnegative"):
+            degeneracy_probability(8.0, 1.0, 0.5, s)
+
+    def test_zero_snr_target(self):
+        assert degeneracy_probability(1.0, 1.0, 0.5, 0.0) == 0.5
+
     def test_monotone_in_snr_target(self):
         ps = [degeneracy_probability(8.0, 1.0, 0.5, s) for s in np.linspace(1, 60, 100)]
         assert all(b <= a for a, b in zip(ps, ps[1:]))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from conftest import random_rotation
+from conftest import keep_every_row, random_rotation
 
-from degen_icp import TooFewPoints, fit_planes, normal_covariances, skew
-from degen_icp.normals import _COLLINEAR_RATIO, _SCREEN_TOL, PlaneFitBatch, _lambda2_bounds, _screened_out
+from degen_icp import TooFewPoints, fit_planes, normals, skew
+from degen_icp.normals import _COLLINEAR, _COLLINEAR_RATIO, _KEPT, _OUTLIER, _SCREEN_TOL, _lambda2_bounds, _screened_out
 
 
 def _empirical_cov(points):
@@ -19,9 +19,9 @@ def _noisy_patch(rng, count=12, sigma=0.02):
     return pts
 
 
-def _fit(pts):
-    """fit_planes on a single neighborhood."""
-    return fit_planes(np.asarray(pts, dtype=float)[None])
+def _fit(pts, sigma_i=0.01, sigma_n_max=np.inf):
+    """fit_planes on a single neighborhood, with no outlier gate by default."""
+    return fit_planes(np.asarray(pts, dtype=float)[None], sigma_i, sigma_n_max)
 
 
 def _signed_like(normals, reference):
@@ -30,52 +30,55 @@ def _signed_like(normals, reference):
     return normals * np.where(normals @ reference < 0.0, -1.0, 1.0)[..., None]
 
 
-def _cov(batch, sigma_i, n_pts):
-    """The normal covariance of a batch's only row, with no outlier gate."""
-    keep, covs = normal_covariances(batch, sigma_i, n_pts, np.inf)
-    assert keep.tolist() == [True]
-    return covs[0]
+def _cov(pts, sigma_i):
+    """The normal covariance of one neighborhood, with no outlier gate."""
+    fit = _fit(pts, sigma_i)
+    assert fit.outcome.tolist() == [_KEPT]
+    return fit.covs[0]
 
 
-def _keeps(lambda2, sigma_i, n_pts, sigma_n_max):
-    """Outlier test on a fit whose worst-case variance is sigma_i^2 / (n_pts * lambda2)."""
-    batch = PlaneFitBatch(
-        normals=np.array([[0.0, 0.0, 1.0]]),
-        eigenvalues=np.array([[1.0, lambda2, 0.0]]),
-        rotations=np.eye(3)[None],
-        collinear=np.array([False]),
-        rows=np.array([0]),
-    )
-    return bool(normal_covariances(batch, sigma_i, n_pts, sigma_n_max)[0][0])
+def _reference(pts, sigma_i):
+    """The normal and R diag(s / lambda2, s / lambda1, 0) R^T from a per-row
+    eigh of c^T c / (k - 1), s = sigma_i^2 / k, and the eigenvalues, ascending."""
+    k = pts.shape[0]
+    w, v = np.linalg.eigh(_empirical_cov(pts))
+    s = sigma_i**2 / k
+    return v[:, 0], (v * [0.0, s / w[2], s / w[1]]) @ v.T, w
+
+
+# Nine points whose scatter is exactly diag(1, 1/4, 0): at sigma_i = 3,
+# s = 1 and the worst-case normal variance s / lambda2 is exactly 4.
+_EXACT_PATCH = np.column_stack([[1, 1, -1, -1, 1, 1, -1, -1, 0], [0.5, -0.5] * 4 + [0], np.zeros(9)])
 
 
 class TestFitPlane:
     def test_unit_square(self):
         corners = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
         fit = _fit(corners)
+        assert fit.outcome.tolist() == [_KEPT]
         np.testing.assert_allclose(_signed_like(fit.normals[0], [0, 0, 1]), [0, 0, 1], atol=1e-12)
-        assert fit.eigenvalues[0, 2] == pytest.approx(0.0, abs=1e-15)
-        np.testing.assert_allclose(fit.eigenvalues[0, :2], [1 / 3, 1 / 3], atol=1e-12)
+        # lambda1 = lambda2 = 1/3: an isotropic tangent covariance 3 s (I - n n^T).
+        np.testing.assert_allclose(fit.covs[0], 3 * 0.01**2 / 4 * np.diag([1.0, 1.0, 0.0]), atol=1e-15)
 
     def test_collinear_flagged(self):
         pts = np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2]], dtype=float)
-        assert _fit(pts).collinear.tolist() == [True]
+        fit = _fit(pts)
+        assert fit.outcome.tolist() == [_COLLINEAR]
+        assert fit.normals.shape == (0, 3) and fit.covs.shape == (0, 3, 3)
 
     def test_rejects_flat_array(self):
         with pytest.raises(ValueError, match="neighbors must have shape"):
-            fit_planes(np.zeros((4, 3)))
+            fit_planes(np.zeros((4, 3)), 0.01, 0.1)
 
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             _fit(np.array([[0, 0, 0], [1, 0, 0]], dtype=float))
 
-    @pytest.mark.parametrize("min_lambda2", [0.0, 1e-3])
-    def test_empty_stack(self, min_lambda2):
+    @pytest.mark.parametrize("sigma_n_max", [0.0, 1e-3])  # unscreened, screened
+    def test_empty_stack(self, sigma_n_max):
         # An ICP iteration in which no row needs a new fit still calls fit_planes.
-        batch = fit_planes(np.empty((0, 5, 3)), min_lambda2)
-        assert batch.normals.shape == (0, 3) and batch.rotations.shape == (0, 3, 3) and batch.rows.size == 0
-        keep, covs = normal_covariances(batch, 0.01, 5, 0.1)
-        assert keep.shape == (0,) and covs.shape == (0, 3, 3)
+        fits = fit_planes(np.empty((0, 5, 3)), 0.01, sigma_n_max)
+        assert fits.outcome.shape == (0,) and fits.normals.shape == (0, 3) and fits.covs.shape == (0, 3, 3)
 
     def test_noisy_plane_recovers_normal(self):
         rng = np.random.default_rng(42)
@@ -88,13 +91,16 @@ class TestFitPlane:
         assert angle < 2.0
 
     def test_rotation_frame_valid(self):
+        # An orthonormal frame of descending eigenvectors gives a unit normal
+        # and a covariance whose eigenvalues are 0 <= s / lambda1 <= s / lambda2.
         rng = np.random.default_rng(3)
         for _ in range(10):
-            fit = _fit(_noisy_patch(rng))
-            rot, evals = fit.rotations[0], fit.eigenvalues[0]
-            np.testing.assert_allclose(rot.T @ rot, np.eye(3), atol=1e-12)
-            np.testing.assert_allclose(rot[:, 2], fit.normals[0], atol=1e-15)
-            assert evals[0] >= evals[1] >= evals[2] >= 0
+            pts = _noisy_patch(rng)
+            fit, (_, _, w) = _fit(pts), _reference(pts, 0.01)
+            s = 0.01**2 / pts.shape[0]
+            assert abs(np.linalg.norm(fit.normals[0]) - 1.0) <= 1e-15
+            np.testing.assert_allclose(np.linalg.eigvalsh(fit.covs[0]), [0.0, s / w[2], s / w[1]],
+                                       rtol=1e-12, atol=1e-12 * s / w[1])
 
 
 class TestScatterReference:
@@ -109,42 +115,40 @@ class TestScatterReference:
         scales = 10.0 ** rng.uniform(-2.0, 0.0, (100, 1, 3))
         rotations = np.stack([random_rotation(rng) for _ in range(100)])
         nb = (rng.standard_normal((100, k, 3)) * scales) @ rotations + offset
-        batch = fit_planes(nb)
+        fits = fit_planes(nb, 0.01, np.inf)
+        assert (fits.outcome == _KEPT).all()
         for row, pts in enumerate(nb):
-            c = pts - pts.mean(axis=0)
-            w, v = np.linalg.eigh(c.T @ c / (k - 1))
-            assert np.abs(batch.eigenvalues[row] - w[::-1]).max() <= 1e-10 * w[-1]
-            assert abs(abs(batch.normals[row] @ v[:, 0]) - 1.0) <= 1e-10
+            normal, cov, _ = _reference(pts, 0.01)
+            assert abs(abs(fits.normals[row] @ normal) - 1.0) <= 1e-10
+            assert np.abs(fits.covs[row] - cov).max() <= 1e-10 * np.abs(cov).max()
 
 
 class TestNormalCovariance:
     def test_symmetric_patch_closed_form(self):
         corners = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
-        fit = _fit(corners)
         sigma_i, n_pts = 0.02, 4
-        cov = _cov(fit, sigma_i, n_pts)
-        c = fit.eigenvalues[0, 0]
+        fit = _fit(corners, sigma_i)
         n = fit.normals[0]
-        expected = (sigma_i**2 / (n_pts * c)) * (np.eye(3) - np.outer(n, n))
-        np.testing.assert_allclose(cov, expected, atol=1e-15)
+        expected = (sigma_i**2 / (n_pts / 3)) * (np.eye(3) - np.outer(n, n))
+        np.testing.assert_allclose(fit.covs[0], expected, atol=1e-15)
 
     def test_zero_sigma(self):
         rng = np.random.default_rng(5)
-        keep, covs = normal_covariances(_fit(_noisy_patch(rng)), 0.0, 12, 0.0)
-        np.testing.assert_array_equal(covs, np.zeros((1, 3, 3)))
-        assert keep.tolist() == [True]  # worst-case variance 0 passes a zero gate
+        fit = _fit(_noisy_patch(rng), 0.0, 0.0)
+        np.testing.assert_array_equal(fit.covs, np.zeros((1, 3, 3)))
+        assert fit.outcome.tolist() == [_KEPT]  # worst-case variance 0 passes a zero gate
 
     def test_degenerate_lambda2_rejected(self):
         pts = np.array([[0, 0, 0], [1, 1, 1], [2, 2, 2]], dtype=float)
-        keep, covs = normal_covariances(_fit(pts), 0.01, 3, np.inf)
-        assert keep.tolist() == [False]
-        assert covs.shape == (0, 3, 3)
+        fit = _fit(pts)
+        assert fit.outcome.tolist() == [_COLLINEAR]
+        assert fit.covs.shape == (0, 3, 3)
 
     def test_cov_annihilates_normal_and_is_psd(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
             fit = _fit(_noisy_patch(rng))
-            cov = _cov(fit, 0.01, 12)
+            cov = fit.covs[0]
             np.testing.assert_allclose(cov @ fit.normals[0], np.zeros(3), atol=1e-10)
             np.testing.assert_allclose(cov, cov.T, atol=1e-15)
             assert np.linalg.eigvalsh(cov).min() >= -1e-15
@@ -153,33 +157,33 @@ class TestNormalCovariance:
         rng = np.random.default_rng(7)
         for _ in range(20):
             pts = _noisy_patch(rng)
-            fit = _fit(pts)
-            assert fit.eigenvalues[0, 2] > 0
+            assert np.linalg.eigvalsh(_empirical_cov(pts))[0] > 0
             sigma_i, n_pts = 0.01, pts.shape[0]
-            cov = _cov(fit, sigma_i, n_pts)
+            fit = _fit(pts, sigma_i)
             c_inv = np.linalg.inv(_empirical_cov(pts))
             s = skew(fit.normals[0])
-            np.testing.assert_allclose(cov, s @ ((sigma_i**2 / n_pts) * c_inv) @ s.T, atol=1e-10)
+            np.testing.assert_allclose(fit.covs[0], s @ ((sigma_i**2 / n_pts) * c_inv) @ s.T, atol=1e-10)
 
     def test_sigma_scaling_is_exact(self):
         rng = np.random.default_rng(8)
-        fit = _fit(_noisy_patch(rng))
-        np.testing.assert_array_equal(_cov(fit, 0.02, 12), 4.0 * _cov(fit, 0.01, 12))
+        pts = _noisy_patch(rng)
+        np.testing.assert_array_equal(_cov(pts, 0.02), 4.0 * _cov(pts, 0.01))
 
     def test_count_scaling_is_exact(self):
-        rng = np.random.default_rng(9)
-        fit = _fit(_noisy_patch(rng))
-        np.testing.assert_array_equal(_cov(fit, 0.01, 32), _cov(fit, 0.01, 8) / 4.0)
+        # The exact patch's eight outer points twice and its centre: 17 points
+        # with the same scatter, so the covariance scales by 9 / 17.
+        doubled = np.concatenate([_EXACT_PATCH[:8], _EXACT_PATCH])
+        np.testing.assert_array_equal(_cov(doubled, 3.0), _cov(_EXACT_PATCH, 3.0) * (9 / 17))
 
     def test_worst_case_matches_largest_eigenvalue(self):
         # The outlier gate compares sigma_n_max^2 with the worst-case
         # variance, which must be the covariance's largest eigenvalue.
         rng = np.random.default_rng(10)
         for _ in range(10):
-            fit = _fit(_noisy_patch(rng))
-            worst_std = np.sqrt(np.linalg.eigvalsh(_cov(fit, 0.015, 12)).max())
-            assert normal_covariances(fit, 0.015, 12, worst_std * (1 + 1e-9))[0][0]
-            assert not normal_covariances(fit, 0.015, 12, worst_std * (1 - 1e-9))[0][0]
+            pts = _noisy_patch(rng)
+            worst_std = np.sqrt(np.linalg.eigvalsh(_cov(pts, 0.015)).max())
+            assert _fit(pts, 0.015, worst_std * (1 + 1e-9)).outcome.tolist() == [_KEPT]
+            assert _fit(pts, 0.015, worst_std * (1 - 1e-9)).outcome.tolist() == [_OUTLIER]
 
     def test_fitted_normal_scatter_orientation(self):
         # Monte Carlo oracle: the scatter of refitted normals on an
@@ -190,32 +194,33 @@ class TestNormalCovariance:
             [rng.uniform(-1, 1, 40), rng.uniform(-0.15, 0.15, 40), np.zeros(40)]
         )
         sigma = 0.004
-        fit0 = _fit(base)
+        fit0 = _fit(base, sigma)
         n0 = fit0.normals[0]
-        predicted = skew(n0) @ _cov(fit0, sigma, base.shape[0]) @ skew(n0).T
+        predicted = skew(n0) @ fit0.covs[0] @ skew(n0).T
         noisy = base + sigma * rng.standard_normal((3000, 40, 3))
-        devs = _signed_like(fit_planes(noisy).normals, n0) - n0
+        fits = fit_planes(noisy, sigma, np.inf)
+        assert fits.normals.shape == (3000, 3)
+        devs = _signed_like(fits.normals, n0) - n0
         empirical = devs.T @ devs / devs.shape[0]
         # In-plane variances match within Monte Carlo tolerance (anisotropy
         # ratio here is ~40x, so an axis swap would fail loudly).
-        for axis in range(2):
-            v = fit0.rotations[0][:, axis]
+        for v in np.linalg.eigh(_empirical_cov(base))[1][:, 1:].T:
             assert v @ empirical @ v == pytest.approx(v @ predicted @ v, rel=0.25)
 
 
 class TestOutlier:
     def test_zero_std_never_outlier(self):
         rng = np.random.default_rng(13)
-        keep, _ = normal_covariances(_fit(_noisy_patch(rng)), 0.0, 12, 0.05)
-        assert keep.tolist() == [True]
+        assert _fit(_noisy_patch(rng), 0.0, 0.05).outcome.tolist() == [_KEPT]
 
     def test_threshold_exceeded(self):
-        # Worst-case std 0.2: 0.2^2 / (4 * 0.25).
-        assert not _keeps(0.25, 0.2, 4, 0.10)
+        # Worst-case std 2 against a gate of 1.
+        assert _fit(_EXACT_PATCH, 3.0, 1.0).outcome.tolist() == [_OUTLIER]
 
     def test_boundary_is_strict(self):
-        # Worst-case std exactly 0.10: kept.
-        assert _keeps(0.25, 0.10, 4, 0.10)
+        # Worst-case std exactly 2: kept at a gate of 2, not just below it.
+        assert _fit(_EXACT_PATCH, 3.0, 2.0).outcome.tolist() == [_KEPT]
+        assert _fit(_EXACT_PATCH, 3.0, np.nextafter(2.0, 0.0)).outcome.tolist() == [_OUTLIER]
 
 
 # The outlier gate the screen tests run against: lambda2 >= t with
@@ -270,44 +275,56 @@ def _screen_stack(case):
 
 
 class TestScreen:
-    """fit_planes with a min_lambda2 screen must return the very fits of an
-    unscreened call, for every row the variance gate keeps or that is
-    collinear."""
+    """fit_planes with its screen must return the very outcomes, normals and
+    covariances of a call whose screen leaves every row in."""
 
     @staticmethod
-    def _check(nb):
-        k = nb.shape[1]
-        full, screened = fit_planes(nb), fit_planes(nb, _gate(k))
-        assert np.array_equal(full.rows, np.arange(nb.shape[0]))
-        for name in ("normals", "eigenvalues", "rotations", "collinear"):
-            assert np.array_equal(getattr(screened, name), getattr(full, name)[screened.rows]), name
-        keep_full, covs_full = normal_covariances(full, SIGMA_I, k, SIGMA_N_MAX)
-        keep, covs = normal_covariances(screened, SIGMA_I, k, SIGMA_N_MAX)
-        wanted = np.flatnonzero(full.collinear | keep_full)
-        assert np.array_equal(screened.rows[screened.collinear | keep], wanted)
-        assert np.array_equal(covs, covs_full)
+    def _check(monkeypatch, nb):
+        screen, masks = normals._screened_out, []
+
+        def recorded(mom, floor):
+            masks.append(screen(mom, floor))
+            return masks[-1]
+
+        monkeypatch.setattr(normals, "_screened_out", recorded)
+        screened = fit_planes(nb, SIGMA_I, SIGMA_N_MAX)
+        keep_every_row(monkeypatch)
+        full = fit_planes(nb, SIGMA_I, SIGMA_N_MAX)
+        for name in ("outcome", "normals", "covs"):
+            assert np.array_equal(getattr(screened, name), getattr(full, name)), name
         # The stack's leading patch fails the gate clearly and is screened out.
-        assert 0 not in screened.rows
-        return full, keep_full
+        assert masks[0][0]
+        return full.outcome, masks[0]
 
     @pytest.mark.parametrize("case", ["boundary", "collinear", "repeated", "isotropic", "equal-top-pair"])
-    def test_edge_cases(self, case):
-        full, keep = self._check(_screen_stack(case))
+    def test_edge_cases(self, monkeypatch, case):
+        outcome, _ = self._check(monkeypatch, _screen_stack(case))
         if case == "boundary":
-            assert keep[2:].tolist() == [True, False, True, False]
+            assert outcome[2:].tolist() == [_KEPT, _OUTLIER, _KEPT, _OUTLIER]
         if case in ("collinear", "repeated"):
-            assert full.collinear[2:].all()
+            assert (outcome[2:] == _COLLINEAR).all()
+
+    def test_outcome_codes(self, monkeypatch):
+        # A screened-out, an outlier the screen leaves in, a kept and a
+        # collinear row, with the codes registration counts them by.
+        rng, k = np.random.default_rng(35), 5
+        spectra = [(1e2, 1e-3, 0.0), (1e1, 1 - 1e-9, 0.0), (1e2, 1e1, 0.0)]
+        nb = np.stack([_patch(rng, k, _gate(k) * np.asarray(e)) for e in spectra])
+        nb = np.concatenate([nb, np.arange(k, dtype=float)[None, :, None] * [1.0, 2.0, -0.5]])
+        outcome, screened = self._check(monkeypatch, nb)
+        assert outcome.dtype == np.int8 and outcome.tolist() == [2, 2, 3, 1]
+        assert screened.tolist() == [True, False, False, False]
 
     @pytest.mark.parametrize("case", ["boundary", "isotropic", "equal-top-pair"])
-    def test_offset_coordinates(self, case):
-        self._check(_screen_stack(case) + 1e4)
+    def test_offset_coordinates(self, monkeypatch, case):
+        self._check(monkeypatch, _screen_stack(case) + 1e4)
 
     @pytest.mark.parametrize("k", [3, 20])
-    def test_neighborhood_sizes(self, k):
+    def test_neighborhood_sizes(self, monkeypatch, k):
         spectra = [(1e1, v, 0.0) for v in (1e-2, 1 - 1e-9, 1 + 1e-9, 1e1)]
         if k > 3:
             spectra += [(1e1, v, 1e-1 * v) for v in (1e-2, 1 - 1e-9, 1 + 1e-9)] + [(1.0, 1.0, 1.0)]
-        self._check(_stack(np.random.default_rng(32), k, spectra))
+        self._check(monkeypatch, _stack(np.random.default_rng(32), k, spectra))
 
 
 def _bound_spectra(rng, k, count):

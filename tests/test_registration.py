@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
-from conftest import empty_bundle, fail_after_first_call, force_workers, random_feature_arrays, rotation_angle
+from conftest import (empty_bundle, fail_after_first_call, force_workers, keep_every_row, random_feature_arrays,
+                      rotation_angle)
 
 from degen_icp import (
     ConditionNumber,
@@ -18,6 +19,7 @@ from degen_icp import (
     SceneSpec,
     SingularHessian,
     Standard,
+    TooFewPoints,
     accumulate_arrays,
     analyze,
     attenuated_update,
@@ -29,7 +31,7 @@ from degen_icp import (
     icp,
     solve_update,
 )
-from degen_icp import registration
+from degen_icp import normals, registration
 from degen_icp.degeneracy import _eigh_descending
 from degen_icp.registration import _residual_weights
 
@@ -265,10 +267,9 @@ class TestExtractFeatures:
         fit_planes = registration.fit_planes
 
         def flipped_fit_planes(neighbors, *args):
-            batch = fit_planes(neighbors, *args)
-            signs = rng.choice([-1.0, 1.0], size=(batch.rotations.shape[0], 1, 3))
-            rotations = batch.rotations * signs
-            return dataclasses.replace(batch, normals=rotations[:, :, 2], rotations=rotations)
+            fits = fit_planes(neighbors, *args)
+            signs = rng.choice([-1.0, 1.0], size=(fits.normals.shape[0], 1))
+            return dataclasses.replace(fits, normals=fits.normals * signs)
 
         monkeypatch.setattr(registration, "fit_planes", flipped_fit_planes)
         got, got_stats = extract_features(source, target.points, init, IcpConfig())
@@ -290,8 +291,7 @@ class TestExtractFeatures:
         config = IcpConfig(k_neighbors=5)
         got, got_stats = extract_features(source, target.points, init, config)
 
-        fit_planes = registration.fit_planes
-        monkeypatch.setattr(registration, "fit_planes", lambda neighbors, *args: fit_planes(neighbors))
+        keep_every_row(monkeypatch)
         want, want_stats = extract_features(source, target.points, init, config)
         for name in ("hessian", "rhs", "jacobians", "point_covs", "normal_covs"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
@@ -302,16 +302,15 @@ class TestExtractFeatures:
         # Over a k=5 icp run on the 20k room pair, the lambda2 screen sends
         # 1,877 of the 62,544 rows fitted (3.0%) to eigh; without it all would go.
         source, target, init = _room_pair(20000)
-        fitted, decomposed = [], []
-        fit_planes = registration.fit_planes
+        fitted, decomposed = _count_fits(monkeypatch), []
+        screen = normals._screened_out
 
-        def counted(neighbors, *args):
-            batch = fit_planes(neighbors, *args)
-            fitted.append(len(neighbors))
-            decomposed.append(batch.normals.shape[0])
-            return batch
+        def counted(mom, floor):
+            screened = screen(mom, floor)
+            decomposed.append(int(np.count_nonzero(~screened)))
+            return screened
 
-        monkeypatch.setattr(registration, "fit_planes", counted)
+        monkeypatch.setattr(normals, "_screened_out", counted)
         icp(source, target, init, IcpConfig(k_neighbors=5))
         assert sum(decomposed) / sum(fitted) < 0.04
 
@@ -577,6 +576,17 @@ class TestIcp:
         target = np.random.default_rng(19).uniform(-1, 1, (50, 3))
         with pytest.raises(ValueError, match="source and target clouds must be nonempty"):
             icp(np.zeros((0, 3)), target, None, IcpConfig())
+
+    @pytest.mark.parametrize("k", [2, -1])
+    def test_too_small_k_neighbors_named(self, k):
+        room = generate_scene(SceneSpec(SceneKind.ROOM, point_count=300, seed=20)).points
+        with pytest.raises(TooFewPoints, match=f"k_neighbors={k}"):
+            icp(room, room, None, IcpConfig(k_neighbors=k))
+
+    def test_negative_snr_target_raises(self):
+        room = generate_scene(SceneSpec(SceneKind.ROOM, point_count=300, seed=20)).points
+        with pytest.raises(ValueError, match="s must be nonnegative"):
+            icp(room, room, None, IcpConfig(method=Probabilistic(-1.0)))
 
     def test_later_no_correspondences_keeps_iterations(self, monkeypatch):
         monkeypatch.setattr(registration, "extract_features", fail_after_first_call(registration.extract_features))
