@@ -65,15 +65,14 @@ _FILE_KEYS = {
     "method.name": "method", "method.s": "s", "method.lambda_min": "lambda_min",
     "method.kappa_max": "kappa_max",
     "sensor.sigma_p": "sigma_p", "sensor.sigma_i": "sigma_i", "sensor.sigma_n_max": "sigma_n_max",
-    "sensor.sigma_r": "sigma_r",
     "icp.k_neighbors": "k_neighbors", "icp.max_iterations": "max_iterations",
     "icp.max_correspondence_distance": "max_correspondence_distance",
     "scene.kind": "kind", "scene.dimensions": "dimensions", "scene.point_count": "point_count",
     "noise.sigma_n": "sigma_n",
 }
-_POSITIVE = ("s", "lambda_min", "kappa_max", "sigma_n_max", "sigma_r", "max_correspondence_distance")
+_POSITIVE = ("s", "lambda_min", "kappa_max", "sigma_n_max", "max_correspondence_distance")
 _NONNEGATIVE = ("sigma_p", "sigma_i", "sigma_n")
-_SQUARED = ("sigma_p", "sigma_i", "sigma_n_max", "sigma_r", "sigma_n")  # nonzero: a normal float square
+_SQUARED = ("sigma_p", "sigma_i", "sigma_n_max", "sigma_n")  # nonzero: a normal float square
 _AT_LEAST = {"seed": 0, "k_neighbors": 3, "max_iterations": 1, "point_count": 6, "trials": 2, "directions": 1}
 
 
@@ -435,7 +434,8 @@ def _add_feature_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma-i", type=float, default=IcpConfig.sigma_i, help="plane-fit neighbor noise std (m)")
     p.add_argument("--sigma-n-max", type=float, default=IcpConfig.sigma_n_max, help="normal outlier threshold")
     p.add_argument("--k-neighbors", type=int, default=IcpConfig.k_neighbors, help="neighbors per plane fit")
-    p.add_argument("--s", type=float, default=Probabilistic.s, help="signal-to-noise target")
+    p.add_argument("--s", type=float, default=Probabilistic.s,
+                   help="signal-to-noise target (register: probabilistic only; other methods report at 10)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -462,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=tuple(_SOLVERS), default="probabilistic", help="update rule")
     p.add_argument("--lambda-min", type=float, default=0.1, help="eigenvalue threshold")
     p.add_argument("--kappa-max", type=float, default=1e4, help="condition-number threshold")
-    p.add_argument("--sigma-r", type=float, default=IcpConfig.sigma_r, help="residual std (m)")
     p.add_argument("--max-iterations", type=int, default=IcpConfig.max_iterations, help="iteration limit")
     p.add_argument("--max-correspondence-distance", type=float, default=IcpConfig.max_correspondence_distance,
                    help="correspondence gate (m)")

@@ -58,6 +58,7 @@ Array = NDArray[np.float64]
 
 # Eigenvalues at or below this are treated as numerically zero.
 _SINGULAR_EIG = 1e-12
+_SIGMA_R = 0.015  # residual standard deviation (m) that scales every information matrix
 
 
 def __getattr__(name: str):
@@ -105,8 +106,8 @@ class UpdateSolution:
     probabilities holds the attenuation actually applied per eigencomponent
     (probabilities for the probabilistic method, 0/1 indicators for the
     threshold methods, ones for the standard solve). information is the
-    inverse-covariance estimate (1/sigma_r^2) U diag(p*lambda) U^T in the
-    frame the bundle was built in.
+    inverse-covariance estimate (1/_SIGMA_R^2) U diag(p*lambda) U^T in the
+    frame the bundle was built in, with _SIGMA_R = 0.015 m.
     """
 
     twist: Array  # (6,) [rot; trans]
@@ -160,7 +161,6 @@ class IcpConfig:
     sigma_p: float = 0.01
     sigma_i: float = 0.01
     sigma_n_max: float = 0.10
-    sigma_r: float = 0.015
     k_neighbors: int = 5
     max_iterations: int = 30
     max_correspondence_distance: float = 1.0
@@ -200,7 +200,7 @@ def attenuated_update(hessian, rhs, probabilities) -> Array:
     return _gated_solve(vals, vecs, g, p)
 
 
-def solve_update(bundle: HessianBundle, method: SolverMethod, sigma_r: float = 1.0) -> UpdateSolution:
+def solve_update(bundle: HessianBundle, method: SolverMethod) -> UpdateSolution:
     """Solve one update from an accumulated bundle with the chosen method.
 
     Degeneracy reports are always computed (they are O(N) diagnostics); the
@@ -227,7 +227,7 @@ def solve_update(bundle: HessianBundle, method: SolverMethod, sigma_r: float = 1
         raise TypeError(f"unknown solver method: {method!r}")
 
     x = _gated_solve(vals, vecs, bundle.rhs, gamma)
-    info = (vecs * (gamma * vals)) @ vecs.T / sigma_r**2
+    info = (vecs * (gamma * vals)) @ vecs.T / _SIGMA_R**2
     info = 0.5 * (info + info.T)
     return UpdateSolution(x, gamma, tuple(reports), info)
 
@@ -391,7 +391,7 @@ def icp(source, target, init: Pose | None = None, config: IcpConfig | None = Non
                 raise
             termination = "no-correspondences"
             break
-        sol = solve_update(bundle, cfg.method, sigma_r=cfg.sigma_r)
+        sol = solve_update(bundle, cfg.method)
         pose = compose(pose, exp_se3(sol.twist))
         step_rot = float(np.linalg.norm(sol.twist[:3]))
         step_trans = float(np.linalg.norm(sol.twist[3:]))

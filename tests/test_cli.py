@@ -408,6 +408,11 @@ class TestConfigAndErrors:
         path.write_text(json.dumps({"version": 1, "icp": {"translation_tol": 1e-4}}))
         assert _run("simulate", "--config", path, "--out", tmp_path / "o") == 2
         assert "unknown keys ['icp.translation_tol']" in capsys.readouterr().err
+        # No residual scale key: the information matrix's scale is a constant.
+        path.write_text(json.dumps({"version": 1, "sensor": {"sigma_p": 0.01, "sigma_r": 0.015}}))
+        out = tmp_path / "o"
+        assert _run("register", "--config", path, "--source", "c.ply", "--target", "c.ply", "--out", out) == 2
+        assert "unknown keys ['sensor.sigma_r']" in capsys.readouterr().err
 
     def test_invalid_flag_value(self, tmp_path):
         assert _run("detect", "--kind", "room", "--sigma-p", -0.5) == 2
@@ -545,6 +550,8 @@ class TestConfigAndErrors:
             ("oracle", "--var-rtol", "0.1"),
             ("oracle", "--mean-sigmas", "3"),
             ("sweep", "--parameter", "s", "--values", "1,x"),
+            # Not a flag: the information matrix's residual scale is a constant.
+            ("register", "--source", "c.ply", "--target", "c.ply", "--sigma-r", "0.02"),
         ],
     )
     def test_parser_rejects(self, argv):
@@ -576,8 +583,8 @@ class TestConfigAndErrors:
             (("detect", "--points", "300", "--sigma-n-max", "1e-200"), "sigma_n_max"),
             (("detect", "--points", "300", "--sigma-p", "1e200"), "sigma_p"),
             (("register", "--sigma-p", "1e200"), "sigma_p"),
-            (("register", "--sigma-r", "1e200"), "sigma_r"),
-            (("register", "--sigma-r", "1e-200"), "sigma_r"),
+            (("register", "--sigma-i", "1e200"), "sigma_i"),
+            (("register", "--sigma-n-max", "1e-200"), "sigma_n_max"),
             (("simulate", "--sigma-n", "1e200"), "sigma_n"),
             (("oracle", "--sigma-n", "1e200"), "sigma_n"),
             (("sweep", "--parameter", "sigma-p", "--values", "1e200"), "sigma_p"),
@@ -669,7 +676,7 @@ COMMAND_FLAGS = {
     "simulate": "--sigma-p --seed --kind --dim --points --sigma-n --format",
     "detect": "--sigma-p --seed --kind --dim --points --sigma-i --sigma-n-max --k-neighbors --s --cloud",
     "register": "--sigma-p --sigma-i --sigma-n-max --k-neighbors --s --method --lambda-min --kappa-max "
-    "--sigma-r --max-iterations --max-correspondence-distance --source --target --init",
+    "--max-iterations --max-correspondence-distance --source --target --init",
     "oracle": "--sigma-p --seed --kind --dim --points --sigma-n --trials --directions",
     "sweep": "--sigma-p --seed --kind --dim --points --sigma-n --s --parameter --values",
 }
@@ -683,17 +690,47 @@ def test_command_reads_only_its_flags(command):
     assert options == set(COMMAND_FLAGS[command].split()) | {"--config", "--out"}
 
 
-def test_output_digest_commands_parse():
-    # tools/output_digest.py's command list must stay valid CLI input.
+def _output_digest_tool():
     import importlib.util
 
     path = README.parent / "tools" / "output_digest.py"
     spec = importlib.util.spec_from_file_location("output_digest", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_output_digest_commands_parse():
+    # tools/output_digest.py's command list must stay valid CLI input.
+    tool = _output_digest_tool()
     for _, argv in tool.COMMANDS:
         cli.build_parser().parse_args([a.format(tmp="t") for a in argv] + ["--out", "o"])
     assert len(tool.COMMANDS) == 20
+
+
+def test_output_digest_defaults_are_the_file_keys():
+    # The tool's config file holds every config key at its flag's default,
+    # and no other key: a key left over after its setting is deleted would
+    # make the tool's two config commands exit 2. Its empty
+    # scene.dimensions stands for the parser's empty list.
+    defaults = dict(_output_digest_tool().DEFAULTS)
+    assert defaults.pop("version") == 1
+    flat = {}
+    for name, value in defaults.items():
+        if isinstance(value, dict):
+            flat.update({f"{name}.{key}": item for key, item in value.items()})
+        else:
+            flat[name] = value
+    assert set(flat) == set(cli._FILE_KEYS)
+    commands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    parser_defaults = {}
+    for parser in commands.choices.values():
+        for action in parser._actions:
+            if action.dest in cli._FILE_KEYS.values():
+                parser_defaults.setdefault(action.dest, set()).add(repr(action.default))
+    for key, value in flat.items():
+        expected = repr(list(value.items()) if isinstance(value, dict) else value)
+        assert parser_defaults[cli._FILE_KEYS[key]] == {expected}, key
 
 
 def test_readme_config_schema_runs(tmp_path):

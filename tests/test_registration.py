@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
+from scipy.spatial.transform import Rotation
 from conftest import (empty_bundle, fail_after_first_call, force_workers, keep_every_row, random_feature_arrays,
-                      rotation_angle)
+                      random_unit, rotation_angle)
 
 from degen_icp import (
     ConditionNumber,
@@ -203,26 +204,66 @@ class TestInformationMatrix:
     def test_full_probability_reconstructs_hessian(self):
         rng = np.random.default_rng(9)
         bundle = accumulate_arrays(*random_feature_arrays(rng, 50, sigma_p=0.0, sigma_n=0.0))
-        sol = solve_update(bundle, Standard(), sigma_r=0.02)
-        np.testing.assert_allclose(sol.information, bundle.hessian / 0.02**2, rtol=1e-10)
+        sol = solve_update(bundle, Standard())
+        np.testing.assert_allclose(sol.information, bundle.hessian / registration._SIGMA_R**2, rtol=1e-10)
 
     def test_zero_probability_direction_has_zero_information(self):
         sample = generate_scene(SceneSpec(SceneKind.CORRIDOR, point_count=400, seed=10))
         bundle = accumulate_arrays(*noisy_feature_arrays(sample, NoiseSpec(0.0, 0.0, 0)))
-        sol = solve_update(bundle, Probabilistic(10.0), sigma_r=0.015)
+        sol = solve_update(bundle, Probabilistic(10.0))
         null = sample.null_basis[0]
         assert abs(null @ sol.information @ null) <= 1e-9
 
     def test_reports_based_scaling(self):
         # Fractional probabilities: the information equals
-        # (1/sigma_r^2) sum_k p_k lambda_k u_k u_k^T over the direction reports.
+        # (1/_SIGMA_R^2) sum_k p_k lambda_k u_k u_k^T over the direction reports.
         rng = np.random.default_rng(21)
         bundle = accumulate_arrays(*random_feature_arrays(rng, 12, sigma_p=0.2, sigma_n=0.2))
-        sol = solve_update(bundle, Probabilistic(10.0), sigma_r=0.015)
+        sol = solve_update(bundle, Probabilistic(10.0))
         probs = np.array([r.probability for r in sol.reports])
         assert ((probs > 0.01) & (probs < 0.99)).any()
         expected = sum(r.probability * r.signal * np.outer(r.direction, r.direction) for r in sol.reports)
-        np.testing.assert_allclose(sol.information, expected / 0.015**2, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(sol.information, expected / registration._SIGMA_R**2, rtol=1e-10, atol=1e-10)
+
+    @pytest.mark.parametrize("method", [Probabilistic(), Standard(), EigenTruncate(0.1)], ids=repr)
+    def test_direct_solve_matches_icp(self, monkeypatch, method):
+        # A direct solve_update call scales a bundle's information exactly as
+        # icp does: there is one residual scale, not a default per caller.
+        bundles = []
+
+        def recorded(bundle, *args, **kwargs):
+            bundles.append(bundle)
+            return solve_update(bundle, *args, **kwargs)
+
+        monkeypatch.setattr(registration, "solve_update", recorded)
+        sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=600, seed=22))
+        init = Pose(exp_so3([0.0, 0.0, 0.02]), [0.05, 0.0, 0.0])
+        result = icp(sample.points, sample.points, init, IcpConfig(method=method))
+        assert len(result.iterations) >= 2
+        for bundle, record in zip(bundles, result.iterations, strict=True):
+            np.testing.assert_array_equal(solve_update(bundle, method).information, record.update.information)
+
+
+def test_nees_of_room_pairs_at_2k():
+    # NEES e^T I e of the final pose error e = [rotvec(R); t] (truth is the
+    # identity), weighted by the run's information matrix I, over 20 room
+    # pairs at 2,000 points and IcpConfig() defaults. Each pair draws 1 cm
+    # noise on the source, then on the target, then a 6 cm start translation
+    # and a 1.4 degree start rotation, each along a random unit vector. This
+    # gives a mean of 7.03 (median 5.93); the band is ROADMAP item 3's gate.
+    nees = []
+    for s in range(20):
+        source = generate_scene(SceneSpec(SceneKind.ROOM, point_count=2000, seed=100 + s)).points
+        target = generate_scene(SceneSpec(SceneKind.ROOM, point_count=2000, seed=200 + s)).points
+        rng = np.random.default_rng(300 + s)
+        source = source + 0.01 * rng.standard_normal(source.shape)
+        target = target + 0.01 * rng.standard_normal(target.shape)
+        d = 0.06 * random_unit(rng, 3)
+        ax = np.deg2rad(1.4) * random_unit(rng, 3)
+        result = icp(source, target, Pose(exp_so3(ax), d), IcpConfig())
+        e = np.concatenate([Rotation.from_matrix(result.pose.rotation).as_rotvec(), result.pose.translation])
+        nees.append(e @ result.information @ e)
+    assert 4.58 <= np.mean(nees) <= 7.61
 
 
 class _QueryRecorder(cKDTree):

@@ -35,7 +35,7 @@ DEFAULTS = {
     "version": 1,
     "seed": 0,
     "method": {"name": "probabilistic", "s": 10.0, "lambda_min": 0.1, "kappa_max": 10000.0},
-    "sensor": {"sigma_p": 0.01, "sigma_i": 0.01, "sigma_n_max": 0.1, "sigma_r": 0.015},
+    "sensor": {"sigma_p": 0.01, "sigma_i": 0.01, "sigma_n_max": 0.1},
     "icp": {"k_neighbors": 5, "max_iterations": 30, "max_correspondence_distance": 1.0},
     "scene": {"kind": "room", "dimensions": {}, "point_count": 2000},
     "noise": {"sigma_n": 0.01},
