@@ -70,10 +70,11 @@ _FILE_KEYS = {
     "scene.kind": "kind", "scene.dimensions": "dimensions", "scene.point_count": "point_count",
     "noise.sigma_n": "sigma_n",
 }
-_POSITIVE = ("s", "lambda_min", "kappa_max", "sigma_n_max", "max_correspondence_distance")
+_POSITIVE = ("s", "lambda_min", "sigma_n_max", "max_correspondence_distance")
 _NONNEGATIVE = ("sigma_p", "sigma_i", "sigma_n")
 _SQUARED = ("sigma_p", "sigma_i", "sigma_n_max", "sigma_n")  # nonzero: a normal float square
-_AT_LEAST = {"seed": 0, "k_neighbors": 3, "max_iterations": 1, "point_count": 6, "trials": 2, "directions": 1}
+_AT_LEAST = {"seed": 0, "kappa_max": 1, "k_neighbors": 3, "max_iterations": 1, "point_count": 6,
+             "trials": 2, "directions": 1}
 
 
 def _read_config(path: Path) -> dict:
@@ -366,15 +367,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if values:
         sample = generate_scene(_scene_spec(args))
         base = noisy_feature_arrays(sample, NoiseSpec(args.sigma_p, args.sigma_n, args.seed + 1))
-        points, normals, offsets, weights, point_cov, normal_covs = base
+        points, normals, offsets, weights = base[:4]
         unit = normals / np.linalg.norm(normals, axis=1, keepdims=True)
+        # The noise model as noisy_feature_arrays builds it, at the swept value.
+        setting = {"s": args.s, "sigma-p": args.sigma_p, "sigma-n": args.sigma_n}
 
         prev = None
         for value in values:
-            value_point_cov = value**2 * np.eye(3) if args.parameter == "sigma-p" else point_cov
-            value_normal_covs = tangent_covariances(unit, value) if args.parameter == "sigma-n" else normal_covs
-            bundle = accumulate_arrays(points, normals, offsets, weights, value_point_cov, value_normal_covs)
-            reports = analyze(bundle, value if args.parameter == "s" else args.s)
+            setting[args.parameter] = value
+            point_cov = setting["sigma-p"] ** 2 * np.eye(3)
+            normal_covs = tangent_covariances(unit, setting["sigma-n"])
+            bundle = accumulate_arrays(points, normals, offsets, weights, point_cov, normal_covs)
+            reports = analyze(bundle, setting["s"])
             probs = [r.probability for r in reports]
             for k, r in enumerate(reports):
                 lines.append(f"{value:.10g},{k},{r.signal:.10g},{r.probability:.10g}")

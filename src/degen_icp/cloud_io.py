@@ -23,7 +23,6 @@ __all__ = [
     "write_pose",
     "read_pose",
     "write_matrix",
-    "read_matrix",
     "write_jsonl",
     "read_jsonl",
     "write_json",
@@ -193,15 +192,6 @@ def read_pose(path) -> Array:
 
 def write_matrix(path, matrix) -> None:
     np.savetxt(path, np.atleast_2d(np.asarray(matrix, dtype=np.float64)), fmt=_FLOAT_FMT)
-
-
-def read_matrix(path) -> Array:
-    rows = [
-        [float(v) for v in line.split()]
-        for line in Path(path).read_text().splitlines()
-        if line.strip()
-    ]
-    return np.asarray(rows, dtype=np.float64)
 
 
 def write_jsonl(path, records) -> None:

@@ -209,7 +209,7 @@ def _direction_reports(bundle: HessianBundle, vals: Array, vecs: Array, s: float
     return reports
 
 
-def analyze(bundle: HessianBundle, s: float = 10.0) -> list[DirectionReport]:
+def analyze(bundle: HessianBundle, s: float) -> list[DirectionReport]:
     """Per-eigenvector degeneracy reports of the accumulated Hessian.
 
     Eigenvalues are sorted descending; each eigenvector's report carries the

@@ -222,7 +222,10 @@ def solve_update(bundle: HessianBundle, method: SolverMethod) -> UpdateSolution:
     elif isinstance(method, EigenTruncate):
         gamma = (vals > method.lambda_min).astype(np.float64)
     elif isinstance(method, ConditionNumber):
-        gamma = ((vals > 0.0) & (vals * method.kappa_max >= vals[0])).astype(np.float64)
+        if not method.kappa_max >= 1.0:
+            raise ValueError(f"kappa_max must be >= 1, got {method.kappa_max}")
+        with np.errstate(over="ignore", invalid="ignore"):  # a product of inf (or NaN at a zero) is gated right
+            gamma = ((vals > 0.0) & (vals * method.kappa_max >= vals[0])).astype(np.float64)
     else:
         raise TypeError(f"unknown solver method: {method!r}")
 
@@ -376,8 +379,9 @@ def icp(source, target, init: Pose | None = None, config: IcpConfig | None = Non
     """
     cfg = config if config is not None else IcpConfig()
     pose = init if init is not None else Pose.identity()
+    src = np.asarray(source, dtype=np.float64).reshape(-1, 3)
     tgt = np.asarray(target, dtype=np.float64).reshape(-1, 3)
-    carry = _Carry(np.asarray(source).reshape(-1, 3).shape[0], tgt, cfg.k_neighbors)
+    carry = _Carry(src.shape[0], tgt, cfg.k_neighbors)
 
     iterations: list[IterationRecord] = []
     info_local = np.zeros((6, 6))
@@ -385,7 +389,7 @@ def icp(source, target, init: Pose | None = None, config: IcpConfig | None = Non
     termination = "max-iterations"
     for _ in range(cfg.max_iterations):
         try:
-            bundle, stats = extract_features(source, tgt, pose, cfg, carry=carry)
+            bundle, stats = extract_features(src, tgt, pose, cfg, carry=carry)
         except NoCorrespondences:
             if not iterations:
                 raise

@@ -177,7 +177,7 @@ class TestRegister:
         assert np.linalg.norm(pose[:3, 3]) < 0.005
         angle = np.degrees(np.arccos(np.clip((np.trace(pose[:3, :3]) - 1) / 2, -1, 1)))
         assert angle < 0.1
-        info = cloud_io.read_matrix(out / "information.txt")
+        info = np.loadtxt(out / "information.txt")
         assert info.shape == (6, 6)
         assert np.linalg.eigvalsh(info).min() >= -1e-6 * np.linalg.eigvalsh(info).max()
 
@@ -339,6 +339,20 @@ class TestSweep:
         for pairs in by_dir.values():
             probs = [p for _, p in sorted(pairs)]
             assert all(b <= a + 1e-12 for a, b in zip(probs, probs[1:]))
+
+    def test_each_parameter_at_its_default_is_one_analysis(self, tmp_path):
+        # Every sweep builds its noise model from the same settings, so a
+        # sweep of any parameter at that parameter's default repeats one
+        # analysis: the direction, eigenvalue and probability columns match.
+        columns = []
+        for parameter, value in (("s", "10"), ("sigma-p", "0.01"), ("sigma-n", "0.01")):
+            csv = tmp_path / f"{parameter}.csv"
+            argv = ("sweep", "--kind", "corridor", "--points", 500, "--seed", 4, "--parameter", parameter,
+                    "--values", value, "--out", csv)
+            assert _run(*argv) == 0
+            columns.append([line.partition(",")[2] for line in csv.read_text().splitlines()[1:]])
+        assert len(columns[0]) == 6
+        assert columns[0] == columns[1] == columns[2]
 
     def test_empty_range(self, tmp_path):
         csv = tmp_path / "e.csv"
@@ -511,6 +525,21 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert f"config {path}: icp.max_correspondence_distance must be positive, got -1.0" in err
 
+    def test_config_kappa_max_below_one_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"version": 1, "method": {"name": "cond-number", "kappa_max": 0.5}}))
+        identity = "1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1"
+        assert _register_with_init(tmp_path, identity, "--config", path, "--out", tmp_path / "o") == 2
+        assert f"config {path}: method.kappa_max must be >= 1, got 0.5" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_largest_kappa_max_runs(self, tmp_path):
+        # The gate's product overflowed with a numpy warning, an error in this suite.
+        identity = "1 0 0 0 0 1 0 0 0 0 1 0 0 0 0 1"
+        argv = ("--method", "cond-number", "--kappa-max", "1e308", "--out", tmp_path / "o")
+        assert _register_with_init(tmp_path, identity, *argv) == 0
+        assert np.array_equal(cloud_io.read_pose(tmp_path / "o" / "pose.txt"), np.eye(4))
+
     @pytest.mark.parametrize(
         "body, key",
         [
@@ -570,6 +599,9 @@ class TestConfigAndErrors:
             (("oracle", "--trials", "1"), "trials must be >= 2"),
             (("simulate", "--dim", "width=-1"), "dimensions must be positive"),
             (("simulate", "--dim", "radius=1"), "unknown dimensions for room:"),
+            # A cap below 1 gated every direction: the run "converged" at its init pose with exit 0.
+            (("register", "--source", "c.ply", "--target", "c.ply", "--kappa-max", "0.5"),
+             "kappa_max must be >= 1, got 0.5"),
         ],
     )
     def test_bad_settings_exit_2(self, tmp_path, capsys, argv, message):
@@ -688,6 +720,11 @@ def test_command_reads_only_its_flags(command):
     parser = commands.choices[command]
     options = {opt for action in parser._actions for opt in action.option_strings} - {"-h", "--help"}
     assert options == set(COMMAND_FLAGS[command].split()) | {"--config", "--out"}
+
+
+def test_readme_flag_table_is_command_flags():
+    rows = re.findall(r"^\| `(\w+)` \| `(--[^`]*)` \|$", README.read_text(), re.M)
+    assert dict(rows) == COMMAND_FLAGS
 
 
 def _output_digest_tool():

@@ -316,7 +316,7 @@ class TestDegeneracyProbability:
 class TestAnalyze:
     def test_empty_bundle_raises(self):
         with pytest.raises(EmptyFeatureSet, match="cannot analyze an empty bundle"):
-            analyze(empty_bundle())
+            analyze(empty_bundle(), 10.0)
 
     def test_noise_free_room_all_probability_one(self):
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=500, seed=0))

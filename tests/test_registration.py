@@ -150,6 +150,26 @@ class TestSolveUpdate:
         np.testing.assert_array_equal(sol.probabilities[:3], np.ones(3))
         assert sol.probabilities[3:].sum() <= 1.0  # remaining may drop depending on spectrum
 
+    @pytest.mark.parametrize("kappa", [0.5, 0.0, -1.0, np.nan])
+    def test_condition_number_below_one_raises(self, kappa):
+        # A cap below 1 gated every direction, so icp stopped "converged" at its start pose.
+        bundle = accumulate_arrays(*random_feature_arrays(np.random.default_rng(5), 60, on_plane=False))
+        with pytest.raises(ValueError, match=f"kappa_max must be >= 1, got {kappa}"):
+            solve_update(bundle, ConditionNumber(kappa))
+
+    def test_condition_number_of_one_keeps_the_largest(self):
+        bundle = accumulate_arrays(*random_feature_arrays(np.random.default_rng(5), 60, on_plane=False))
+        np.testing.assert_array_equal(solve_update(bundle, ConditionNumber(1.0)).probabilities, [1, 0, 0, 0, 0, 0])
+
+    def test_condition_number_at_float_max_does_not_warn(self):
+        # vals * kappa_max overflows to inf, which is >= vals[0]; the overflow
+        # warning it raised is an error in this suite.
+        bundle = accumulate_arrays(*random_feature_arrays(np.random.default_rng(5), 60, on_plane=False))
+        vals, _ = _eigh_descending(bundle.hessian)
+        assert vals[0] > 1.0  # so the product overflows
+        sol = solve_update(bundle, ConditionNumber(np.finfo(float).max))
+        np.testing.assert_array_equal(sol.probabilities, (vals > 0).astype(np.float64))
+
     def test_attenuation_scales_eigencomponents_exactly(self):
         rng = np.random.default_rng(6)
         bundle = accumulate_arrays(*random_feature_arrays(rng, 80, on_plane=False))
@@ -628,6 +648,20 @@ class TestIcp:
         room = generate_scene(SceneSpec(SceneKind.ROOM, point_count=300, seed=20)).points
         with pytest.raises(ValueError, match="s must be nonnegative"):
             icp(room, room, None, IcpConfig(method=Probabilistic(-1.0)))
+
+    def test_source_dtype_changes_no_bit(self):
+        # icp converts the source once: a float32 array, or the same values as
+        # a nested list, registers bit for bit as its float64 copy.
+        target = generate_scene(SceneSpec(SceneKind.ROOM, point_count=2000, seed=61)).points
+        scene = generate_scene(SceneSpec(SceneKind.ROOM, point_count=2000, seed=62))
+        source = noisy_feature_arrays(scene, NoiseSpec(0.01, 0.0, 63))[0].astype(np.float32)
+        init = Pose(exp_so3([0.0, 0.0, 0.01]), [0.03, -0.02, 0.01])
+        want = icp(source.astype(np.float64), target, init, IcpConfig())
+        for given in (source, source.tolist()):
+            got = icp(given, target, init, IcpConfig())
+            assert np.array_equal(got.pose.matrix(), want.pose.matrix())
+            assert np.array_equal(got.information, want.information)
+            assert len(got.iterations) == len(want.iterations)
 
     def test_later_no_correspondences_keeps_iterations(self, monkeypatch):
         monkeypatch.setattr(registration, "extract_features", fail_after_first_call(registration.extract_features))

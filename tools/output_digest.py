@@ -6,13 +6,14 @@ Usage, from the root of a checkout:
     python3 tools/output_digest.py > digests.txt
 
 The commands run the degen_icp package under src/ of the checkout that holds
-this script, one `python -m degen_icp.cli` process each, inside a new
-temporary directory that is removed afterwards. Before hashing, stdout has
-that directory's path replaced by <tmp>, so the digests do not depend on it.
-Run the script in two checkouts and diff the two listings: equal lines mean
-byte-identical outputs. Each line reads `<command name> <what> <digest>`,
-where <what> is `exit=<code>` with the stdout digest, or a file's name
-relative to the command's --out.
+this script, one `python -W error -m degen_icp.cli` process each, inside a
+new temporary directory that is removed afterwards. Warnings are errors, so
+a warning in any command changes its exit code and stdout digest. Before
+hashing, stdout has that directory's path replaced by <tmp>, so the digests
+do not depend on it. Run the script in two checkouts and diff the two
+listings: equal lines mean byte-identical outputs. Each line reads
+`<command name> <what> <digest>`, where <what> is `exit=<code>` with the
+stdout digest, or a file's name relative to the command's --out.
 """
 
 from __future__ import annotations
@@ -98,7 +99,8 @@ def digests(tmp: Path) -> list[str]:
     for name, argv in COMMANDS:
         out = tmp / name
         argv = [a.format(tmp=tmp) for a in argv] + ["--out", str(out)]
-        run = subprocess.run([sys.executable, "-m", "degen_icp.cli", *argv], env=env, capture_output=True)
+        cmd = [sys.executable, "-W", "error", "-m", "degen_icp.cli", *argv]
+        run = subprocess.run(cmd, env=env, capture_output=True)
         stdout = run.stdout.replace(str(tmp).encode(), b"<tmp>")
         lines.append(f"{name} exit={run.returncode} {_sha256(stdout)}")
         if out.is_dir():
