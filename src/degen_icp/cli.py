@@ -270,7 +270,7 @@ def cmd_register(args: argparse.Namespace) -> int:
     result = icp(source, target, init, _icp_config(args))
 
     out = _out_dir(args)
-    cloud_io.write_pose(out / "pose.txt", result.pose.matrix())
+    cloud_io.write_matrix(out / "pose.txt", result.pose.matrix())
     cloud_io.write_matrix(out / "information.txt", result.information)
     records = []
     for i, rec in enumerate(result.iterations, start=1):
@@ -294,7 +294,7 @@ def cmd_register(args: argparse.Namespace) -> int:
     cloud_io.write_json(
         out / "summary.json",
         {
-            "converged": result.converged,
+            "converged": result.termination == "converged",
             "termination": result.termination,
             "iterations": len(result.iterations),
             "method": args.method,
@@ -302,7 +302,7 @@ def cmd_register(args: argparse.Namespace) -> int:
     )
     print(
         f"register: {result.termination} after {len(result.iterations)} iterations "
-        f"(converged={result.converged}); outputs in {out}"
+        f"(converged={result.termination == 'converged'}); outputs in {out}"
     )
     return 1 if result.termination == "no-correspondences" else 0
 

@@ -20,7 +20,6 @@ __all__ = [
     "write_csv",
     "read_csv",
     "load_cloud",
-    "write_pose",
     "read_pose",
     "write_matrix",
     "write_jsonl",
@@ -164,11 +163,6 @@ def load_cloud(path) -> tuple[Array, Array | None]:
     if points.shape[0] == 0:
         raise ValueError(f"{path}: cloud has no points")
     return points, normals
-
-
-def write_pose(path, matrix) -> None:
-    """Row-major homogeneous 4x4 pose, 16 whitespace-separated numbers."""
-    np.savetxt(path, np.asarray(matrix, dtype=np.float64).reshape(4, 4), fmt=_FLOAT_FMT)
 
 
 def read_pose(path) -> Array:

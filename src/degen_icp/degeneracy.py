@@ -158,10 +158,9 @@ def gaussian_cdf(x: float) -> float:
     """Standard normal CDF via the complementary error function.
 
     Accurate to double precision (far below the contractual 1e-7 bound on
-    [-8, 8]); the result is clamped to [0, 1].
+    [-8, 8]); erfc lies in [0, 2], so the result lies in [0, 1].
     """
-    p = 0.5 * math.erfc(-float(x) / math.sqrt(2.0))
-    return min(max(p, 0.0), 1.0)
+    return 0.5 * math.erfc(-float(x) / math.sqrt(2.0))
 
 
 def degeneracy_probability(signal: float, mu: float, sigma: float, s: float) -> float:

@@ -145,7 +145,6 @@ class RegistrationResult:
     pose: Pose
     information: Array
     iterations: list[IterationRecord]
-    converged: bool
     termination: str
 
 
@@ -220,6 +219,8 @@ def solve_update(bundle: HessianBundle, method: SolverMethod) -> UpdateSolution:
     elif isinstance(method, Probabilistic):
         gamma = np.array([r.probability for r in reports])
     elif isinstance(method, EigenTruncate):
+        if not method.lambda_min >= 0.0:
+            raise ValueError(f"lambda_min must be >= 0, got {method.lambda_min}")
         gamma = (vals > method.lambda_min).astype(np.float64)
     elif isinstance(method, ConditionNumber):
         if not method.kappa_max >= 1.0:
@@ -385,7 +386,6 @@ def icp(source, target, init: Pose | None = None, config: IcpConfig | None = Non
 
     iterations: list[IterationRecord] = []
     info_local = np.zeros((6, 6))
-    converged = False
     termination = "max-iterations"
     for _ in range(cfg.max_iterations):
         try:
@@ -402,7 +402,6 @@ def icp(source, target, init: Pose | None = None, config: IcpConfig | None = Non
         iterations.append(IterationRecord(sol, stats, step_rot, step_trans))
         info_local = sol.information
         if step_rot < 1e-4 and step_trans < 1e-4:
-            converged = True
             termination = "converged"
             break
 
@@ -412,6 +411,5 @@ def icp(source, target, init: Pose | None = None, config: IcpConfig | None = Non
         pose=pose,
         information=0.5 * (info_world + info_world.T),
         iterations=iterations,
-        converged=converged,
         termination=termination,
     )

@@ -248,7 +248,9 @@ _NORMAL_PROPS = "property double nx\nproperty double ny\nproperty double nz\n"
         ),
         (lambda p: cloud_io.write_csv(p, np.empty((0, 3))), "x,y,z\n"),
         (
-            lambda p: cloud_io.write_pose(p, np.concatenate([_EDGE_POINTS.ravel(), _EDGE_NORMALS.ravel()[:7]])),
+            lambda p: cloud_io.write_matrix(
+                p, np.concatenate([_EDGE_POINTS.ravel(), _EDGE_NORMALS.ravel()[:7]]).reshape(4, 4)
+            ),
             "nan inf -inf -0\n4.940656458e-324 1e+300 1e-300 0.1\n-2.5 0 0 1\n"
             "0.3333333333 -0.6666666667 0.6666666667 -0.6\n",
         ),
@@ -272,7 +274,7 @@ class TestPose:
 
         pose = random_pose(np.random.default_rng(1))
         path = tmp_path / "pose.txt"
-        cloud_io.write_pose(path, pose.matrix())
+        cloud_io.write_matrix(path, pose.matrix())
         np.testing.assert_allclose(cloud_io.read_pose(path), pose.matrix(), atol=1e-9)
         assert len(path.read_text().split()) == 16
 

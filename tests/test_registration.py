@@ -150,6 +150,13 @@ class TestSolveUpdate:
         np.testing.assert_array_equal(sol.probabilities[:3], np.ones(3))
         assert sol.probabilities[3:].sum() <= 1.0  # remaining may drop depending on spectrum
 
+    @pytest.mark.parametrize("lambda_min", [np.nan, -1.0, -np.inf])
+    def test_eigen_truncate_below_zero_raises(self, lambda_min):
+        # vals > nan is all False: a NaN threshold gated every direction.
+        bundle = accumulate_arrays(*random_feature_arrays(np.random.default_rng(4), 60, on_plane=False))
+        with pytest.raises(ValueError, match=f"lambda_min must be >= 0, got {lambda_min}"):
+            solve_update(bundle, EigenTruncate(lambda_min))
+
     @pytest.mark.parametrize("kappa", [0.5, 0.0, -1.0, np.nan])
     def test_condition_number_below_one_raises(self, kappa):
         # A cap below 1 gated every direction, so icp stopped "converged" at its start pose.
@@ -598,7 +605,7 @@ class TestIcp:
     def test_self_registration_is_fixed_point(self):
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=1200, seed=11))
         result = icp(sample.points, sample.points, None, IcpConfig())
-        assert result.converged
+        assert result.termination == "converged"
         assert len(result.iterations) <= 2
         assert np.linalg.norm(result.pose.translation) <= 1e-9
         assert rotation_angle(result.pose.rotation) <= 1e-9
@@ -610,7 +617,7 @@ class TestIcp:
         source = source_scene.points + 0.01 * rng.standard_normal(source_scene.points.shape)
         init = Pose(exp_so3([0.0, 0.0, np.deg2rad(2.0)]), [0.1, 0.1, 0.05])
         result = icp(source, target.points, init, IcpConfig(method=Probabilistic(10.0)))
-        assert result.converged
+        assert result.termination == "converged"
         assert np.linalg.norm(result.pose.translation) < 0.005
         assert np.degrees(rotation_angle(result.pose.rotation)) < 0.1
 
@@ -649,6 +656,13 @@ class TestIcp:
         with pytest.raises(ValueError, match="s must be nonnegative"):
             icp(room, room, None, IcpConfig(method=Probabilistic(-1.0)))
 
+    def test_nan_lambda_min_raises(self):
+        # It returned "converged" after 1 iteration at the 5 cm start pose, with attenuation all zeros.
+        room = generate_scene(SceneSpec(SceneKind.ROOM, point_count=300, seed=20)).points
+        init = Pose(np.eye(3), [0.05, 0.0, 0.0])
+        with pytest.raises(ValueError, match="lambda_min must be >= 0, got nan"):
+            icp(room, room, init, IcpConfig(method=EigenTruncate(float("nan"))))
+
     def test_source_dtype_changes_no_bit(self):
         # icp converts the source once: a float32 array, or the same values as
         # a nested list, registers bit for bit as its float64 copy.
@@ -669,7 +683,7 @@ class TestIcp:
         init = Pose(np.eye(3), [0.05, 0.0, 0.0])
         result = icp(sample.points, sample.points, init, IcpConfig())
         assert result.termination == "no-correspondences"
-        assert not result.converged
+        assert result.termination != "converged"
         assert len(result.iterations) == 1
         local = result.iterations[0].update.information
         m = frame_change_matrix(result.pose)
@@ -717,7 +731,7 @@ class TestIcp:
         sample = generate_scene(SceneSpec(SceneKind.ROOM, point_count=20000, seed=22))
         source = noisy_feature_arrays(sample, NoiseSpec(0.01, 0.01, 23))[0]
         result = icp(source, sample.points, None, IcpConfig())
-        assert result.converged
+        assert result.termination == "converged"
         assert np.linalg.norm(result.pose.translation) < 0.005
         assert np.degrees(rotation_angle(result.pose.rotation)) < 0.1
 
