@@ -7,6 +7,8 @@ no timestamps.
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
 import warnings
 from pathlib import Path
@@ -32,21 +34,39 @@ Array = NDArray[np.float64]
 _FLOAT_FMT = "%.10g"
 
 
-def _parse_rows(path, lines, sep, width: int) -> Array:
-    """One row of width floats per line; sep None splits on whitespace."""
-    if not lines:
-        return np.empty((0, width))
+@contextlib.contextmanager
+def _open_text(path):
+    """The file as UTF-8 text, read as it is iterated; a leading byte-order
+    mark is skipped. A decoding error names its byte offset in the file, as
+    a whole-file read does, not in the chunk the stream was decoding."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        Path(path).read_text(encoding="utf-8-sig")
+        raise
+
+
+def _parse_rows(path, lines, sep, width: int, rows: int | None = None) -> Array:
+    """Rows of width floats, one per line of an iterable, parsed as the lines
+    are read; sep None splits on whitespace. Blank lines are skipped, and
+    the rows read must number rows when it is given."""
     try:
         with warnings.catch_warnings():
-            # Blank lines are skipped and an all-blank body warns; the shape
-            # check below rejects both.
+            # An all-blank body warns; the shape check below rejects it
+            # where rows are expected.
             warnings.simplefilter("ignore", UserWarning)
             data = np.loadtxt(lines, dtype=np.float64, delimiter=sep, ndmin=2, comments=None)
+    except UnicodeDecodeError:  # a ValueError too, but the file's encoding, not its rows
+        raise
     except ValueError as exc:
         raise ValueError(f"{path}: malformed data rows ({exc})") from None
-    if data.shape != (len(lines), width):
+    rows = data.shape[0] if rows is None else rows
+    if rows == data.shape[0] == 0:
+        return np.empty((0, width))
+    if data.shape != (rows, width):
         raise ValueError(
-            f"{path}: malformed data rows ({len(lines)} rows of {width} values expected, "
+            f"{path}: malformed data rows ({rows} rows of {width} values expected, "
             f"{data.shape[0]} rows of {data.shape[1]} read)"
         )
     return data
@@ -85,48 +105,54 @@ def read_ply(path) -> tuple[Array, Array | None]:
     are present; other scalar vertex properties are read and ignored, and a
     vertex list property is rejected. Returns (points, normals or None).
     """
-    text = Path(path).read_text(encoding="utf-8-sig").splitlines()
-    if not text or text[0].strip() != "ply":
-        raise ValueError(f"{path}: not a PLY file")
-    props: list[str] = []
-    count = None
-    element = None
-    body_start = None
-    for i, line in enumerate(text[1:], start=1):
-        tok = line.split()
-        if not tok:
-            continue
-        malformed = ValueError(f"{path}: malformed PLY header line {line.strip()!r}")
-        if tok[0] in ("format", "element", "property") and len(tok) < 3:
-            raise malformed
-        if tok[0] == "format":
-            if tok[1] != "ascii":
-                raise ValueError(f"{path}: only ASCII PLY is supported")
-        elif tok[0] == "element":
-            # Rows of elements after vertex (faces, edges) follow the
-            # vertex rows and are never read.
-            element = tok[1]
-            if element == "vertex":
-                try:
-                    count = int(tok[2])
-                except ValueError:
-                    raise malformed from None
-            elif count is None:
-                raise ValueError(f"{path}: unsupported element {element!r} before vertex")
-        elif tok[0] == "property" and element == "vertex":
-            if tok[1] == "list":
-                raise ValueError(f"{path}: unsupported vertex list property {tok[-1]!r}")
-            props.append(tok[2])
-        elif tok[0] == "end_header":
-            body_start = i + 1
-            break
-    if count is None or count < 0 or body_start is None:
-        raise ValueError(f"{path}: malformed PLY header")
-    if not {"x", "y", "z"} <= set(props):
-        raise ValueError(f"{path}: vertex properties {props} lack one of x, y, z")
-    if len(text) - body_start < count:
-        raise ValueError(f"{path}: truncated, {len(text) - body_start} of {count} vertex rows present")
-    data = _parse_rows(path, text[body_start:body_start + count], None, len(props))
+    with _open_text(path) as fh:
+        if fh.readline().strip() != "ply":
+            raise ValueError(f"{path}: not a PLY file")
+        props: list[str] = []
+        count = None
+        element = None
+        body_start = None
+        for i, line in enumerate(fh, start=1):
+            tok = line.split()
+            if not tok:
+                continue
+            malformed = ValueError(f"{path}: malformed PLY header line {line.strip()!r}")
+            if tok[0] in ("format", "element", "property") and len(tok) < 3:
+                raise malformed
+            if tok[0] == "format":
+                if tok[1] != "ascii":
+                    raise ValueError(f"{path}: only ASCII PLY is supported")
+            elif tok[0] == "element":
+                # Rows of elements after vertex (faces, edges) follow the
+                # vertex rows and are never read.
+                element = tok[1]
+                if element == "vertex":
+                    try:
+                        count = int(tok[2])
+                    except ValueError:
+                        raise malformed from None
+                elif count is None:
+                    raise ValueError(f"{path}: unsupported element {element!r} before vertex")
+            elif tok[0] == "property" and element == "vertex":
+                if tok[1] == "list":
+                    raise ValueError(f"{path}: unsupported vertex list property {tok[-1]!r}")
+                props.append(tok[2])
+            elif tok[0] == "end_header":
+                body_start = i + 1
+                break
+        if count is None or count < 0 or body_start is None:
+            raise ValueError(f"{path}: malformed PLY header")
+        if not {"x", "y", "z"} <= set(props):
+            raise ValueError(f"{path}: vertex properties {props} lack one of x, y, z")
+        try:
+            data = _parse_rows(path, itertools.islice(fh, count), None, len(props), count)
+        except ValueError:
+            # A body short of count lines is named as truncated, whatever its rows hold.
+            with _open_text(path) as again:
+                present = sum(1 for _ in itertools.islice(again, body_start, None))
+            if present < count:
+                raise ValueError(f"{path}: truncated, {present} of {count} vertex rows present") from None
+            raise
     points = data[:, [props.index(c) for c in ("x", "y", "z")]]
     normal_cols = ("nx", "ny", "nz")
     normals = data[:, [props.index(c) for c in normal_cols]] if set(normal_cols) <= set(props) else None
@@ -142,13 +168,15 @@ def write_csv(path, points, normals=None) -> None:
 def read_csv(path) -> tuple[Array, Array | None]:
     """CSV cloud with an x,y,z header, optionally followed by nx,ny,nz; a
     leading UTF-8 byte-order mark, as spreadsheet exports write, is skipped."""
-    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
-    if not lines:
-        raise ValueError(f"{path}: empty CSV")
-    header = [h.strip() for h in lines[0].split(",")]
-    if header[:3] != ["x", "y", "z"]:
-        raise ValueError(f"{path}: expected header starting with x,y,z, got {header}")
-    data = _parse_rows(path, [line for line in lines[1:] if line.strip()], ",", len(header))
+    with _open_text(path) as fh:
+        first = fh.readline()
+        if not first:
+            raise ValueError(f"{path}: empty CSV")
+        header = [h.strip() for h in first.split(",")]
+        if header[:3] != ["x", "y", "z"]:
+            raise ValueError(f"{path}: expected header starting with x,y,z, got {header}")
+        # Blank lines are skipped; loadtxt would read a whitespace-only one as a row.
+        data = _parse_rows(path, filter(str.strip, fh), ",", len(header))
     normals = data[:, 3:6] if header[3:6] == ["nx", "ny", "nz"] else None
     return _finite_points(path, data), normals
 

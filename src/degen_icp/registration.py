@@ -59,6 +59,9 @@ Array = NDArray[np.float64]
 # Eigenvalues at or below this are treated as numerically zero.
 _SINGULAR_EIG = 1e-12
 _SIGMA_R = 0.015  # residual standard deviation (m) that scales every information matrix
+# Rows per fit_planes call: the fit's temporaries stay this size however many
+# rows a linearization fits, and each row's fit is independent of the others.
+_FIT_ROWS = 8192
 
 
 def __getattr__(name: str):
@@ -277,7 +280,8 @@ def extract_features(
     along with their normal noise covariances. The fits do not depend on the
     pose: a normal's sign is fixed by the fit alone, and flipping a normal
     with its offset leaves every accumulated term unchanged. Each kd-tree
-    query thread fills its own rows, so no result depends on the thread count.
+    query thread fills its own rows, so no result depends on the thread count,
+    and plane fits go in blocks of _FIT_ROWS rows, so none on the block size.
 
     icp passes one carry, which holds the target's kd-tree and k and each
     row's neighbours and outcome, from one call to the next; a call without a
@@ -325,10 +329,12 @@ def extract_features(
     carry.slack2[redo] = np.where(slack > 0.0, slack**2, -1.0)
     del moved, redo, at, dist, idx, old, changed, near, gap, gate, slack  # the first fit of a run sets the peak memory
 
-    fits = fit_planes(tgt[carry.idx[refit]], config.sigma_i, config.sigma_n_max)
-    carry.state[refit] = fits.outcome
-    kept = refit[fits.outcome == _KEPT]
-    carry.normals[kept], carry.covs[kept] = fits.normals, fits.covs
+    for start in range(0, refit.size, _FIT_ROWS):
+        block = refit[start:start + _FIT_ROWS]
+        fits = fit_planes(tgt[carry.idx[block]], config.sigma_i, config.sigma_n_max)
+        carry.state[block] = fits.outcome
+        kept = block[fits.outcome == _KEPT]
+        carry.normals[kept], carry.covs[kept] = fits.normals, fits.covs
 
     far, collinear, outlier, used = map(int, np.bincount(carry.state, minlength=4))
     if used == 0:

@@ -752,7 +752,7 @@ def test_output_digest_commands_parse():
     tool = _tool("output_digest")
     for _, argv in tool.COMMANDS:
         cli.build_parser().parse_args([a.format(tmp="t") for a in argv] + ["--out", "o"])
-    assert len(tool.COMMANDS) == 20
+    assert len(tool.COMMANDS) == 22
 
 
 def test_output_digest_defaults_are_the_file_keys():

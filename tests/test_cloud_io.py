@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,54 @@ def test_rejects_malformed_rows(tmp_path, name):
     path.write_text(_MALFORMED[name])
     with pytest.raises(ValueError, match=f"{name}: malformed data rows \\("):
         cloud_io.load_cloud(path)
+
+
+@pytest.mark.parametrize(
+    "body, count, present",
+    [("0 0 0\n1 0 0\n0 1 0\n", 5, 3), ("0 0 0\n1 0\n", 3, 2), ("0 0 0\n\n", 3, 2), ("", 1, 0)],
+    ids=["short", "ragged", "blank", "empty"],
+)
+def test_truncated_ply_message(tmp_path, body, count, present):
+    # Truncation is named before any row is judged malformed.
+    path = tmp_path / "cut.ply"
+    path.write_text(_ply_text(body, count))
+    with pytest.raises(ValueError) as err:
+        cloud_io.read_ply(path)
+    assert str(err.value) == f"{path}: truncated, {present} of {count} vertex rows present"
+
+
+@pytest.mark.parametrize("fmt", ["ply", "csv"])
+def test_decode_error_names_file_offset(tmp_path, fmt):
+    # A byte that is not UTF-8, well past the first chunk the stream
+    # decodes, is reported at its offset in the file.
+    path = tmp_path / f"bad.{fmt}"
+    (cloud_io.write_ply if fmt == "ply" else cloud_io.write_csv)(path, np.arange(6000.0).reshape(-1, 3))
+    data = bytearray(path.read_bytes())
+    data[-100] = 0xFF
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as err:
+        cloud_io.load_cloud(path)
+    assert f"can't decode byte 0xff in position {len(data) - 100}:" in str(err.value)
+
+
+@pytest.mark.parametrize("fmt", ["ply", "csv"])
+def test_reader_peak_memory(tmp_path, fmt):
+    # Files are parsed as they are read: reading 100k rows with normals, as
+    # simulate writes them, allocates less than three times the arrays
+    # returned, with no string per line held.
+    rng = np.random.default_rng(3)
+    points, normals = rng.uniform(-10.0, 10.0, (100_000, 3)), rng.standard_normal((100_000, 3))
+    path = tmp_path / f"big.{fmt}"
+    (cloud_io.write_ply if fmt == "ply" else cloud_io.write_csv)(path, points, normals)
+    tracemalloc.start()
+    try:
+        got_points, got_normals = (cloud_io.read_ply if fmt == "ply" else cloud_io.read_csv)(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (got_points.nbytes + got_normals.nbytes)
+    np.testing.assert_allclose(got_points, points, rtol=1e-9)
+    np.testing.assert_allclose(got_normals, normals, rtol=1e-9)
 
 
 class TestCsv:

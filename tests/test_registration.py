@@ -309,15 +309,21 @@ class _QueryRecorder(cKDTree):
 
 
 def _count_fits(monkeypatch):
-    """Replace registration.fit_planes by a wrapper; returns the list of the
-    row counts it is called with."""
+    """Replace registration.extract_features and registration.fit_planes by
+    wrappers; returns a list with, for each linearization, the rows fitted,
+    summed over its fit_planes calls (one per block of rows)."""
     fitted = []
-    fit_planes = registration.fit_planes
+    extract_features, fit_planes = registration.extract_features, registration.fit_planes
+
+    def linearization(*args, **kwargs):
+        fitted.append(0)
+        return extract_features(*args, **kwargs)
 
     def counted(neighbors, *args):
-        fitted.append(len(neighbors))
+        fitted[-1] += len(neighbors)
         return fit_planes(neighbors, *args)
 
+    monkeypatch.setattr(registration, "extract_features", linearization)
     monkeypatch.setattr(registration, "fit_planes", counted)
     return fitted
 
@@ -405,6 +411,41 @@ class TestExtractFeatures:
         assert len(result1.iterations) == len(result2.iterations) == 3
         assert np.array_equal(result1.pose.rotation, result2.pose.rotation)
         assert np.array_equal(result1.pose.translation, result2.pose.translation)
+
+    def test_fit_blocks_change_no_bit(self, monkeypatch):
+        # Rows are fitted in blocks of registration._FIT_ROWS; each row's fit
+        # is independent, so 1,000-row blocks must change no bit of the 20k
+        # room's features, stats or poses.
+        source, target, init = _room_pair(20000)
+        config = IcpConfig(max_iterations=3)
+        runs, sizes = [], []
+
+        def recorded(neighbors, *args):
+            sizes.append(len(neighbors))
+            return normals.fit_planes(neighbors, *args)
+
+        monkeypatch.setattr(registration, "fit_planes", recorded)
+        for rows in (registration._FIT_ROWS, 1000):
+            monkeypatch.setattr(registration, "_FIT_ROWS", rows)
+            sizes.clear()
+            bundle, stats = extract_features(source, target, init, config)
+            assert sum(sizes) == source.shape[0] and max(sizes) == min(rows, source.shape[0])
+            runs.append((bundle, stats, icp(source, target, init, config)))
+        (bundle1, stats1, result1), (bundle2, stats2, result2) = runs
+        for field in dataclasses.fields(bundle1):
+            assert np.array_equal(getattr(bundle1, field.name), getattr(bundle2, field.name)), field.name
+        assert stats1 == stats2
+        assert len(result1.iterations) == len(result2.iterations) == 3
+        assert np.array_equal(result1.pose.rotation, result2.pose.rotation)
+        assert np.array_equal(result1.pose.translation, result2.pose.translation)
+
+    def test_worker_count_without_affinity(self, monkeypatch):
+        # Where os.sched_getaffinity is missing, the thread count is the
+        # machine's core count, or 1 when that is unknown.
+        monkeypatch.delattr(registration.os, "sched_getaffinity", raising=False)
+        for cores, workers in ((3, 3), (None, 1)):
+            monkeypatch.setattr(registration.os, "cpu_count", lambda: cores)
+            assert registration._worker_count() == workers
 
     @pytest.mark.xfail(
         strict=True,
@@ -588,15 +629,15 @@ class TestCarry:
         assert sum(counts) / total < fitted
 
     def test_unmoved_rows_query_and_fit_nothing(self, monkeypatch):
-        # A second linearization at the same pose queries and fits zero rows,
-        # through one call each, and repeats the first.
+        # A second linearization at the same pose queries zero rows, through
+        # one call, fits none, and repeats the first.
         source, target, init = _room_pair(2000)
         config = IcpConfig()
         fitted = _count_fits(monkeypatch)
         carry = registration._Carry(source.shape[0], target, config.k_neighbors)
         carry.tree = tree = _QueryRecorder(target)
-        first = extract_features(source, target, init, config, carry=carry)
-        second = extract_features(source, target, init, config, carry=carry)
+        first = registration.extract_features(source, target, init, config, carry=carry)
+        second = registration.extract_features(source, target, init, config, carry=carry)
         assert tree.sizes == fitted == [2000, 0]
         _assert_same_features(second, first)
 

@@ -82,6 +82,10 @@ COMMANDS = [
                        "--values", "0.001,0.01,0.05"]),
     ("sweep-sigma-p", ["sweep", "--kind", "corridor", "--points", "500", "--seed", "4", "--parameter", "sigma-p",
                        "--values", "0.001,0.01,0.05"]),
+    # The room clouds again as CSV, and a registration that reads them.
+    ("simulate-room-csv", ["simulate", "--kind", "room", "--points", "20000", "--seed", "22", "--format", "csv"]),
+    ("register-room-csv",
+     ["register", "--source", f"{ROOM}-csv/noisy.csv", "--target", f"{ROOM}-csv/clean.csv", "--k-neighbors", "5"]),
 ]
 
 
