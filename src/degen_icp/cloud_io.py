@@ -153,10 +153,13 @@ def read_ply(path) -> tuple[Array, Array | None]:
             if present < count:
                 raise ValueError(f"{path}: truncated, {present} of {count} vertex rows present") from None
             raise
-    points = data[:, [props.index(c) for c in ("x", "y", "z")]]
-    normal_cols = ("nx", "ny", "nz")
-    normals = data[:, [props.index(c) for c in normal_cols]] if set(normal_cols) <= set(props) else None
-    return _finite_points(path, points), normals
+
+    def columns(names):  # a view of the block when adjacent and in order, as write_ply writes them
+        i = props.index(names[0])
+        return data[:, i : i + 3] if props[i : i + 3] == list(names) else data[:, [props.index(c) for c in names]]
+
+    normals = columns(["nx", "ny", "nz"]) if {"nx", "ny", "nz"} <= set(props) else None
+    return _finite_points(path, columns(["x", "y", "z"])), normals
 
 
 def write_csv(path, points, normals=None) -> None:

@@ -39,8 +39,8 @@ __all__ = [
     "NoiseSpec",
     "SpuriousInfoReport",
     "generate_scene",
+    "feature_noise",
     "noisy_feature_arrays",
-    "tangent_covariances",
     "mc_direction_stats",
     "spurious_info_demo",
 ]
@@ -238,10 +238,10 @@ def _tangent_basis(normals: Array) -> tuple[Array, Array]:
     return t1, np.cross(normals, t1)
 
 
-def tangent_covariances(normals: Array, sigma_n: float) -> Array:
-    """Covariances sigma_n^2 (I - n n^T), shape (N, 3, 3), of isotropic
-    tangent-plane noise on each normal row n, taken as given (not normalized)."""
-    return sigma_n**2 * (np.eye(3) - np.einsum("ni,nj->nij", normals, normals))
+def feature_noise(normals: Array, noise: NoiseSpec) -> tuple[Array, Array]:
+    """Synthetic noise model: point covariance sigma_p^2 I and, per normal row n
+    as given (not normalized), tangent-plane covariance sigma_n^2 (I - n n^T)."""
+    return noise.sigma_p**2 * np.eye(3), noise.sigma_n**2 * (np.eye(3) - np.einsum("ni,nj->nij", normals, normals))
 
 
 def noisy_feature_arrays(
@@ -265,10 +265,8 @@ def noisy_feature_arrays(
     points = sample.points + eps
     theta = np.linalg.norm(eta, axis=-1, keepdims=True)
     normals = np.cos(theta) * sample.normals + np.sinc(theta / np.pi) * np.cross(sample.normals, eta)
-    normal_covs = tangent_covariances(normals / np.linalg.norm(normals, axis=1, keepdims=True), noise.sigma_n)
-    point_cov = noise.sigma_p**2 * np.eye(3)
-    weights = np.ones(n_pts)
-    return points, normals, sample.offsets.copy(), weights, point_cov, normal_covs
+    point_cov, normal_covs = feature_noise(normals / np.linalg.norm(normals, axis=1, keepdims=True), noise)
+    return points, normals, sample.offsets.copy(), np.ones(n_pts), point_cov, normal_covs
 
 
 def _rows(elements: int, n_features: int) -> int:
@@ -429,25 +427,24 @@ def spurious_info_demo(
     directions, and how much of it each solver lets through.
 
     With unit weights, zero point noise and isotropic tangent noise sigma_n
-    on the normals, the expected noisy Hessian is H + H_N with
-    H_N = sigma_n^2 * sum_i F_i (I - n n^T) F_i^T, F_i = [skew(p_i); I], that is
-    sigma_n^2 * sum_i sum_t [p_i x t; t] [p_i x t; t]^T over the tangent basis t.
-    The demo checks that identity by Monte Carlo over `trials` draws, then
-    compares, over min(trials, solve_trials) noisy_feature_arrays draws, the
-    mean absolute null-direction component of the standard solve (the gated
-    solve with unit attenuation) against the probabilistic solve at its default s.
+    on the normals, the expected noisy Hessian is H + H_N, both read off one
+    bundle of the noise-free features with feature_noise's covariances: H is
+    its Hessian and H_N its summed Jacobian-block covariance
+    sum_i J_i^T C_n,i J_i, the terms analyze reads. The demo checks that
+    identity by Monte Carlo over `trials` draws, then compares, over
+    min(trials, solve_trials) noisy_feature_arrays draws, the mean absolute
+    null-direction component of the standard solve (the gated solve with unit
+    attenuation) against the probabilistic solve at its default s.
     """
     if trials < 1 or solve_trials < 1:
         raise ValueError("trials and solve_trials must be >= 1")
     if sample.null_basis.shape[0] == 0:
         raise RequiresDegenerateScene("the scene has no degenerate direction")
     points, normals, offsets = sample.points, sample.normals, sample.offsets
-    n_feat = points.shape[0]
-    weights = np.ones(n_feat)
-    hessian = accumulate_arrays(points, normals, offsets, weights, np.zeros((3, 3)), np.zeros((3, 3))).hessian
-    tangents = np.stack(_tangent_basis(normals))  # (2, N, 3)
-    f = np.concatenate([np.cross(points, tangents), tangents], axis=-1).reshape(-1, 6)
-    h_noise = sigma_n**2 * (f.T @ f)
+    weights = np.ones(points.shape[0])
+    model = accumulate_arrays(points, normals, offsets, weights, *feature_noise(normals, NoiseSpec(0.0, sigma_n)))
+    hessian, jac = model.hessian, model.jacobians
+    h_noise = jac.reshape(-1, 6).T @ (model.normal_covs @ jac).reshape(-1, 6)
 
     ss_mean, ss_solve = np.random.SeedSequence(seed).spawn(2)
 

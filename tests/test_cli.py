@@ -365,6 +365,11 @@ class TestSweep:
         assert len(columns[0]) == 6
         assert columns[0] == columns[1] == columns[2]
 
+    def test_stdout_names_the_csv(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        assert _run("sweep", "--parameter", "s", "--values", "1,5,10", "--points", 300, "--out", csv) == 0
+        assert capsys.readouterr().out == f"sweep: wrote {csv}\n"
+
     def test_empty_range(self, tmp_path):
         csv = tmp_path / "e.csv"
         assert _run("sweep", "--parameter", "s", "--values", "", "--out", csv) == 0
@@ -752,7 +757,7 @@ def test_output_digest_commands_parse():
     tool = _tool("output_digest")
     for _, argv in tool.COMMANDS:
         cli.build_parser().parse_args([a.format(tmp="t") for a in argv] + ["--out", "o"])
-    assert len(tool.COMMANDS) == 22
+    assert len(tool.COMMANDS) == 23
 
 
 def test_output_digest_defaults_are_the_file_keys():

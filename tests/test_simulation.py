@@ -21,6 +21,7 @@ from degen_icp import (
     SceneSpec,
     accumulate_arrays,
     direction_stats,
+    feature_noise,
     generate_scene,
     mc_direction_stats,
     noisy_feature_arrays,
@@ -191,6 +192,24 @@ class TestApplyNoise:
         _, normals, _, _, point_cov, normal_covs = noisy_feature_arrays(sample, NoiseSpec(0.02, 0.01, 21))
         np.testing.assert_allclose(point_cov, 0.02**2 * np.eye(3), atol=1e-15)
         np.testing.assert_allclose(normal_covs[0] @ normals[0], np.zeros(3), atol=1e-12)
+
+
+class TestFeatureNoise:
+    def test_model_bit_for_bit(self):
+        # The last row is not unit length: feature_noise takes normals as given.
+        normals = np.array([[0.0, 0.0, 1.0], [0.6, 0.8, 0.0], [0.3, -0.5, 0.9]])
+        point_cov, normal_covs = feature_noise(normals, NoiseSpec(0.02, 0.01))
+        np.testing.assert_array_equal(point_cov, 0.02**2 * np.eye(3))
+        for n, cov in zip(normals, normal_covs):
+            np.testing.assert_array_equal(cov, 0.01**2 * (np.eye(3) - np.outer(n, n)))
+
+    def test_noisy_feature_arrays_use_it_on_unit_normals(self):
+        sample = generate_scene(SceneSpec(SceneKind.CYLINDER_WITH_FLOOR, point_count=300, seed=24))
+        noise = NoiseSpec(0.02, 0.05, 25)
+        _, normals, _, _, point_cov, normal_covs = noisy_feature_arrays(sample, noise)
+        want = feature_noise(normals / np.linalg.norm(normals, axis=1, keepdims=True), noise)
+        np.testing.assert_array_equal(point_cov, want[0])
+        np.testing.assert_array_equal(normal_covs, want[1])
 
 
 class TestMcHessianStats:

@@ -72,6 +72,9 @@ COMMANDS = [
     # The oracle-mc benchmark's shape: ten directions on a 100-point room.
     ("oracle-room-10", ["oracle", "--kind", "room", "--points", "100", "--directions", "10", "--trials", "20000",
                         "--seed", "3"]),
+    # The one scene whose normals are not exactly unit length.
+    ("oracle-cylinder-with-floor", ["oracle", "--kind", "cylinder-with-floor", "--points", "200", "--seed", "3",
+                                    "--trials", "2000", "--directions", "3"]),
     ("register-room-config",
      ["register", "--config", "{tmp}/defaults.json", "--source", f"{ROOM}/noisy.ply",
       "--target", f"{ROOM}/clean.ply"]),
